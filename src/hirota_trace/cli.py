@@ -162,8 +162,8 @@ def _field_records(cfg: RunConfig):
     ts = cfg.grid.ts()
     X, T = np.meshgrid(xs, ts)          # shape (nt, nx): rows sweep t
     engine = compiled(cfg.solitons, cfg.medium)
-    psi = engine.psi(X, T, check_degenerate=False)
-    bad = engine.degenerate_mask(X, T)
+    d = engine.derivatives(X, T, orders=[(0, 0)], check_degenerate=False)
+    psi, bad = d["psi"], d["degenerate"]
     for it in range(len(ts)):
         for ix in range(len(xs)):
             yield xs[ix], ts[it], psi[it, ix], bool(bad[it, ix])

@@ -6,8 +6,23 @@ ratio of two finite exponential sums,
     psi = g / f,   f = det(M),   g = det(M) * tr[B_x M^{-1}],
 
 whose terms are constant coefficients times exp(G x - H t) with mode-sum
-growth rates G, H.  Expanding both determinants once per soliton set gives
-an evaluator that is
+growth rates G, H.  With z_k = phi_k^2, w_k = conj(phi_k)^2, c = lam/8 and
+the Hermitian Cauchy matrix A_mn = 1/(p_m + conj(p_n)), the Cauchy-Binet
+formula gives every coefficient in closed form:
+
+    f = sum_{|S| = |T|}     c^|T| det(A[S,T])^2         z^S w^T,
+    g = sum_{|S| = |T| + 1} c^|T| det([A[S,T] | 1])^2   z^S w^T,
+
+(squares because conj(A[T,S]) = A[S,T]^T).  Both minors are Cauchy
+determinants, the second bordered by a column of ones, so each squared
+minor is the product
+
+    prod_{i<j in S} (p_j - p_i)^2  prod_{i<j in T} conj(p_j - p_i)^2
+        prod_{i in S, j in T} A_ij^2,
+
+which carries a relative error of a few ulps per factor and no cancellation,
+even for near-coincident p (a repeated p gives an exactly zero coefficient).
+The resulting evaluator is
 
   * exact (same analytic object as the dense solve),
   * stable everywhere after factoring out the largest exponent per point,
@@ -21,178 +36,58 @@ derivatives, and therefore all residual checks.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .core import Medium, SolitonSet, dispersion
 from .errors import DegeneratePointError
-from .identities import GaussianRational
 
 #: |f|/max-term below which the determinant cancels past double precision
 CANCEL_TOL = 1e-12
 
-# ---------------------------------------------------------------------------
-# minimal multivariate polynomial arithmetic (dict: exponent tuple -> coeff)
 
-_Poly = dict
+def _cauchy_binet_terms(p: np.ndarray, coupling: float, excess: int
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Monomials and coefficients of f (``excess`` 0) or g (``excess`` 1).
 
-
-def _p_add(a: _Poly, b: _Poly) -> _Poly:
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out[e] + c if e in out else c
-    return out
-
-
-def _p_mul(a: _Poly, b: _Poly) -> _Poly:
-    out: _Poly = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(i + j for i, j in zip(e1, e2))
-            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
-    return out
-
-
-def _p_scale(a: _Poly, s: complex) -> _Poly:
-    return {e: c * s for e, c in a.items()}
-
-
-def _p_det(m: list[list[_Poly]]) -> _Poly:
-    """Cofactor-expansion determinant of a small polynomial matrix."""
-    n = len(m)
-    if n == 0:
-        return {(): 1.0 + 0j}
-    if n == 1:
-        return m[0][0]
-    out: _Poly = {}
-    for j in range(n):
-        if not m[0][j]:
-            continue
-        minor = [[m[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = _p_mul(m[0][j], _p_det(minor))
-        if j % 2:
-            term = {e: -c for e, c in term.items()}
-        out = _p_add(out, term)
-    return out
-
-
-def _structural_prune(poly: _Poly, n: int, excess: int) -> _Poly:
-    """Keep only the monomials the determinant identities allow.
-
-    Legitimate terms have 0/1 exponents in each phi_k^2 / conj(phi_k)^2
-    variable and carry ``excess`` more unconjugated factors than conjugated
-    ones (0 for f, 1 for g).  Everything else cancels identically in the
-    expansion (exactly zero under the exact-rational arithmetic upstream);
-    the assertion is a safety net against a wrong expansion, since even a
-    tiny spurious monomial could outgrow every real term far from origin.
-    """
-    kept: _Poly = {}
-    max_keep = 0.0
-    max_drop = 0.0
-    for e, c in poly.items():
-        if max(e, default=0) <= 1 and sum(e[:n]) == sum(e[n:]) + excess:
-            kept[e] = c
-            max_keep = max(max_keep, abs(c))
-        else:
-            max_drop = max(max_drop, abs(c))
-    if kept and max_drop > 1e-8 * max_keep:
-        raise AssertionError(
-            "determinant expansion produced an unexpectedly large "
-            f"out-of-pattern coefficient ({max_drop:.3g})")
-    return kept
-
-
-def _determinant_polys(p: np.ndarray, coupling: float) -> tuple[_Poly, _Poly]:
-    """Expand f = det(M) and g = f * psi as polynomials in z_k = phi_k^2
-    (variables 0..N-1) and w_k = conj(phi_k)^2 (variables N..2N-1).
-
-    The expansion runs in exact Gaussian-rational arithmetic: interaction
-    coefficients are differences of near-equal products (Cauchy-determinant
-    cancellation) and can be orders of magnitude below the intermediates,
-    so double-precision cofactor expansion would leave them with only a few
-    correct digits.  Exact coefficients are rounded to complex at the end.
+    Returns boolean membership rows a (set S, variables z) and b (set T,
+    variables w), one per pair with |S| = |T| + excess, and the complex
+    coefficients c^|T| det(A[S,T])^2 (bordered by ones when excess is 1).
     """
     n = len(p)
-    nv = 2 * n
-    if n == 0:
-        return {(): 1.0 + 0j}, {}
-
-    def gr(v: complex) -> GaussianRational:
-        return GaussianRational(Fraction(v.real), Fraction(v.imag))
-
-    one_gr = gr(1)
-    pg = [gr(pk) for pk in p]
-    pgc = [q.conjugate() for q in pg]
-    A = [[one_gr / (pg[m] + pgc[q]) for q in range(n)] for m in range(n)]
-    Ab = [[A[m][q].conjugate() for q in range(n)] for m in range(n)]
-    coupling = gr(complex(coupling))
-
-    def var(i: int) -> _Poly:
-        e = [0] * nv
-        e[i] = 1
-        return {tuple(e): one_gr}
-
-    one: _Poly = {tuple([0] * nv): one_gr}
-    z = [var(i) for i in range(n)]
-    w = [var(n + i) for i in range(n)]
-
-    # similarity frame: det(M) = det(I + c * Y), Y_mn = sum_k Ab_mk A_kn z_k w_n
-    def y_entry(m: int, q: int) -> _Poly:
-        out: _Poly = {}
-        for k in range(n):
-            out = _p_add(out,
-                         _p_scale(_p_mul(z[k], w[q]), Ab[m][k] * A[k][q]))
-        return out
-
-    def to_complex(poly: _Poly) -> _Poly:
-        return {e: complex(c) for e, c in poly.items()}
-
-    fm = [[_p_add(one if m == q else {}, _p_scale(y_entry(m, q), coupling))
-           for q in range(n)] for m in range(n)]
-    f = _structural_prune(to_complex(_p_det(fm)), n, excess=0)
-
-    # bordered determinant for g = det(M) * psi
-    gm = [row + [None] for row in fm]
-    for m in range(n):
-        col: _Poly = {}
-        for q in range(n):
-            col = _p_add(col, _p_scale(z[q], Ab[m][q]))
-        gm[m][n] = col
-    last: list[_Poly] = []
-    for q in range(n):
-        entry: _Poly = {}
-        for m in range(n):
-            entry = _p_add(entry, _p_scale(_p_mul(z[m], w[q]),
-                                           coupling * A[m][q]))
-        last.append(entry)
-    tail: _Poly = {}
-    for m in range(n):
-        tail = _p_add(tail, z[m])
-    last.append(tail)
-    gm.append(last)
-    g = _structural_prune(to_complex(_p_det(gm)), n, excess=1)
-    return f, g
+    members = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
+    size = members.sum(axis=1)
+    # squared Vandermonde factor of each subset
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    pairs = members[:, :, None] & members[:, None, :] & upper
+    vdm = np.prod(np.where(pairs, (p[None, :] - p[:, None]) ** 2, 1),
+                  axis=(1, 2))
+    s_idx, t_idx = np.nonzero(size[:, None] == size[None, :] + excess)
+    a = members[s_idx]
+    b = members[t_idx]
+    cross = a[:, :, None] & b[:, None, :]
+    cauchy_sq = (1 / (p[:, None] + p.conj()[None, :])) ** 2
+    coef = (coupling ** size[t_idx] * vdm[s_idx] * vdm[t_idx].conj()
+            * np.prod(np.where(cross, cauchy_sq, 1), axis=(1, 2)))
+    return a, b, coef
 
 
 class _ExponentialSum:
     """Finite sum  sum_j Gamma_j exp(G_j x - ... )  with scaled evaluation."""
 
-    def __init__(self, poly: _Poly, p: np.ndarray, a0: np.ndarray,
-                 om: np.ndarray) -> None:
-        n = len(p)
-        if not poly:
-            self.empty = True
+    def __init__(self, a: np.ndarray, b: np.ndarray, gamma: np.ndarray,
+                 p: np.ndarray, a0: np.ndarray, om: np.ndarray) -> None:
+        coef = (gamma
+                * np.prod(np.where(a, a0 ** 2, 1), axis=1)
+                * np.prod(np.where(b, a0.conj() ** 2, 1), axis=1))
+        # a repeated p makes a Vandermonde factor, hence the term, exactly 0
+        keep = coef != 0
+        self.empty = not keep.any()
+        if self.empty:
             return
-        self.empty = False
-        exps = np.array(sorted(poly.keys()), dtype=int)
-        gamma = np.array([poly[tuple(e)] for e in exps], dtype=complex)
-        a = exps[:, :n]
-        b = exps[:, n:]
-        self.coef = (gamma
-                     * np.prod(a0[None, :] ** (2 * a), axis=1)
-                     * np.prod(a0.conj()[None, :] ** (2 * b), axis=1))
+        a, b = a[keep], b[keep]
+        self.coef = coef[keep]
         self.xrate = 2 * (a @ p + b @ p.conj())
         self.trate = -2 * (a @ om + b @ om.conj())
         self.log_coef = np.log(np.abs(self.coef))
@@ -232,9 +127,9 @@ class CompiledSolution:
         p = sset.p
         a0 = sset.a0
         om = np.array([dispersion(pk, medium) for pk in p], dtype=complex)
-        f_poly, g_poly = _determinant_polys(p, medium.lam / 8)
-        self._f = _ExponentialSum(f_poly, p, a0, om)
-        self._g = _ExponentialSum(g_poly, p, a0, om)
+        c = medium.lam / 8
+        self._f = _ExponentialSum(*_cauchy_binet_terms(p, c, 0), p, a0, om)
+        self._g = _ExponentialSum(*_cauchy_binet_terms(p, c, 1), p, a0, om)
 
     def psi(self, x, t, check_degenerate: bool = True) -> np.ndarray:
         """Field values on broadcastable real arrays x, t."""

@@ -2,6 +2,9 @@
 independent high-precision oracle built with mpmath."""
 
 import math
+import warnings
+from fractions import Fraction
+from itertools import combinations
 
 import mpmath
 import numpy as np
@@ -9,7 +12,11 @@ import pytest
 
 from hirota_trace import (
     build_D,
+    CompiledSolution,
     DegeneratePointError,
+    EquationKind,
+    GaussianRational,
+    GridSpec,
     Medium,
     Soliton,
     SolitonSet,
@@ -18,7 +25,9 @@ from hirota_trace import (
     dispersion,
     eval_psi_closed,
     random_admissible_set,
+    residual_report,
 )
+from hirota_trace.trace_engine import _cauchy_binet_terms
 
 MEDIUM = Medium(rho=1.0, sigma=1.0, lam=8.0)
 CANON = SolitonSet((Soliton(p=1 + 0j, a0=complex(math.sqrt(2.0))),))
@@ -49,6 +58,66 @@ def mpmath_psi(sset: SolitonSet, medium: Medium, x: float, t: float,
             col = mpmath.matrix([Bx[m, k] for m in range(n)])
             tr += mpmath.lu_solve(M, col)[k]
         return complex(tr)
+
+
+def exact_det(rows: list[list[GaussianRational]]) -> GaussianRational:
+    """Determinant by Gaussian elimination in exact rational arithmetic."""
+    m = [list(r) for r in rows]
+    det = GaussianRational.of(1)
+    for j in range(len(m)):
+        piv = next((i for i in range(j, len(m)) if m[i][j].re or m[i][j].im),
+                   None)
+        if piv is None:
+            return GaussianRational.of(0)
+        if piv != j:
+            m[j], m[piv] = m[piv], m[j]
+            det = -det
+        det = det * m[j][j]
+        for i in range(j + 1, len(m)):
+            r = m[i][j] / m[j][j]
+            m[i] = [u - r * v for u, v in zip(m[i], m[j])]
+    return det
+
+
+def exact_cauchy_binet(p: np.ndarray, coupling: float, excess: int) -> dict:
+    """Reference coefficients of f (excess 0) or g (excess 1), keyed by the
+    subset pair (S, T) of the monomial z^S w^T: the Cauchy-Binet minors
+    c^|T| det(conj(A)[T,S]; 1^T) det(A[S,T] | 1), bordered only for g,
+    evaluated exactly from the double-precision inputs."""
+    n = len(p)
+    one = GaussianRational.of(1)
+    pg = [GaussianRational(Fraction(v.real), Fraction(v.imag)) for v in p]
+    A = [[one / (pg[m] + pg[q].conjugate()) for q in range(n)]
+         for m in range(n)]
+    c = GaussianRational.of(Fraction(coupling))
+    out = {}
+    for k in range(n + 1 - excess):
+        for S in combinations(range(n), k + excess):
+            for T in combinations(range(n), k):
+                right = [[A[s][t] for t in T] + [one] * excess for s in S]
+                left = [[A[t][s].conjugate() for s in S] for t in T] \
+                    + [[one] * len(S)] * excess
+                out[frozenset(S), frozenset(T)] = complex(
+                    c ** k * exact_det(left) * exact_det(right))
+    return out
+
+
+class TestCauchyBinetCoefficients:
+    @pytest.mark.parametrize("n,seed", [(1, 30), (2, 31), (3, 32), (3, 33),
+                                        (4, 34), (4, 35)])
+    @pytest.mark.parametrize("lam", [8.0, 3.0])
+    def test_matches_exact_minors(self, n, seed, lam):
+        p = random_admissible_set(n, seed).p
+        for excess, count in ((0, math.comb(2 * n, n)),
+                              (1, math.comb(2 * n, n - 1))):
+            want = exact_cauchy_binet(p, lam / 8, excess)
+            a, b, coef = _cauchy_binet_terms(p, lam / 8, excess)
+            got = {(frozenset(np.flatnonzero(s)), frozenset(np.flatnonzero(t))):
+                   c for s, t, c in zip(a, b, coef)}
+            assert len(coef) == len(got) == count
+            assert got.keys() == want.keys()
+            for key, w in want.items():
+                assert abs(got[key] - w) <= 1e-13 * abs(w)
 
 
 class TestAgainstDenseSolve:
@@ -153,3 +222,34 @@ class TestEdgeCases:
 
     def test_compilation_is_memoized(self):
         assert compiled(CANON, MEDIUM) is compiled(CANON, MEDIUM)
+
+
+class TestCoincidentWavenumbers:
+    @pytest.mark.parametrize("dp", [0.0, 1e-6])
+    def test_compiles_cleanly_and_matches_oracle(self, dp):
+        sset = SolitonSet.from_pairs([(1 + 0.2j, 1.0),
+                                      (1 + dp + 0.2j, 0.6 - 0.3j),
+                                      (0.7 - 0.3j, 0.8)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            engine = CompiledSolution(sset, MEDIUM)
+            for x, t in [(0.0, 0.0), (1.3, -0.4), (-2.5, 0.7), (6.0, 1.0)]:
+                got = complex(engine.psi(np.asarray(x), np.asarray(t)))
+                want = mpmath_psi(sset, MEDIUM, x, t)
+                assert abs(got - want) <= 1e-11 * max(abs(want), 1e-300)
+
+
+class TestSixSolitons:
+    def test_terms_oracle_and_residual(self):
+        sset = random_admissible_set(6, 36)
+        engine = compiled(sset, MEDIUM)
+        assert len(engine._f.coef) == 924
+        assert len(engine._g.coef) == 792
+        for x, t in [(0.0, 0.0), (1.5, -0.5), (-2.0, 0.3)]:
+            got = complex(engine.psi(np.asarray(x), np.asarray(t)))
+            want = mpmath_psi(sset, MEDIUM, x, t)
+            assert abs(got - want) <= 1e-10 * max(abs(want), 1.0)
+        rep = residual_report(EquationKind.HIROTA, sset, MEDIUM,
+                              GridSpec(-8, 8, 41, -2, 2, 21))
+        assert rep.max_rel <= 1e-8
+        assert rep.n_degenerate == 0
