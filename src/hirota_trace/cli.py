@@ -12,8 +12,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .calculus import analytic_derivatives, fd_derivatives
 from .core import (
     GridSpec,
@@ -160,13 +158,13 @@ def _field_records(cfg: RunConfig):
     """(x, t, psi, degenerate) rows in t-major order."""
     xs = cfg.grid.xs()
     ts = cfg.grid.ts()
-    X, T = np.meshgrid(xs, ts)          # shape (nt, nx): rows sweep t
     engine = compiled(cfg.solitons, cfg.medium)
-    d = engine.derivatives(X, T, orders=[(0, 0)], check_degenerate=False)
+    d = engine.derivatives(xs[:, None], ts[None, :], orders=[(0, 0)],
+                           check_degenerate=False)
     psi, bad = d["psi"], d["degenerate"]
     for it in range(len(ts)):
         for ix in range(len(xs)):
-            yield xs[ix], ts[it], psi[it, ix], bool(bad[it, ix])
+            yield xs[ix], ts[it], psi[ix, it], bool(bad[ix, it])
 
 
 def cmd_field(cfg: RunConfig, out_path: str | None, fmt: str) -> int:

@@ -219,14 +219,28 @@ def build_B(sset: SolitonSet, medium: Medium, pt: SpaceTimePoint) -> np.ndarray:
 
 
 def build_D(sset: SolitonSet, medium: Medium, pt: SpaceTimePoint) -> np.ndarray:
-    """Matrix D_mn = phi_m * conj(phi_n) / (p_m + conj(p_n))."""
+    """Matrix D_mn = phi_m * conj(phi_n) / (p_m + conj(p_n)).
+
+    Every use forms (lam/8) D conj(D), whose entries grow like the fourth
+    power of the modes, so EXP_LIMIT bounds the log of their upper bound
+    (lam/8) n max|phi|^4 / min|p_m + conj(p_n)|^2, not only each mode's
+    exponent as in phi(); past it FieldOverflowError is raised.
+    """
+    if not len(sset):
+        return np.zeros((0, 0), complex)
     p = sset.p
     denom = p[:, None] + p.conj()[None, :]
-    if len(sset) and np.abs(denom).min() < DENOM_TOL:
+    dmin = float(np.abs(denom).min())
+    if dmin < DENOM_TOL:
         raise SingularDenominatorError("p_m + conj(p_n) below tolerance")
-    ph = _phis(sset, medium, pt)
-    return (np.outer(ph, ph.conj()) / denom if len(sset)
-            else np.zeros((0, 0), complex))
+    ph = [phi(s, medium, pt) for s in sset.solitons]
+    top = max(map(abs, ph))
+    if top and (4 * math.log(top) - 2 * math.log(dmin)
+                + math.log(len(sset) * medium.lam / 8)) > EXP_LIMIT:
+        raise FieldOverflowError(
+            f"D conj(D) entries outside double range at {pt}")
+    ph = np.array(ph)
+    return np.outer(ph, ph.conj()) / denom
 
 
 def build_Bx(sset: SolitonSet, medium: Medium, pt: SpaceTimePoint) -> np.ndarray:
@@ -237,8 +251,8 @@ def build_Bx(sset: SolitonSet, medium: Medium, pt: SpaceTimePoint) -> np.ndarray
 
 def _resolvent_matrix(sset: SolitonSet, medium: Medium,
                       pt: SpaceTimePoint) -> tuple[np.ndarray, np.ndarray]:
-    Bx = build_Bx(sset, medium, pt)
     D = build_D(sset, medium, pt)
+    Bx = build_Bx(sset, medium, pt)
     M = np.eye(len(sset), dtype=complex) + (medium.lam / 8) * D @ D.conj()
     return Bx, M
 
@@ -278,8 +292,8 @@ def series_partial_sums(sset: SolitonSet, medium: Medium, pt: SpaceTimePoint,
         raise ValueError("max_order must be >= 0")
     if len(sset) == 0:
         return np.zeros(max_order + 1, dtype=complex)
-    Bx = build_Bx(sset, medium, pt)
     D = build_D(sset, medium, pt)
+    Bx = build_Bx(sset, medium, pt)
     DDb = D @ D.conj()
     c = medium.lam / 8
     sums = np.empty(max_order + 1, dtype=complex)

@@ -113,8 +113,8 @@ def residual_report(kind: EquationKind, sset: SolitonSet, medium: Medium,
     xs = grid.xs()
     ts = grid.ts()
     # x-major layout so np.argmax's first-hit rule realizes the tie-break
-    X, T = np.meshgrid(xs, ts, indexing="ij")
-    d = analytic_derivatives_grid(sset, medium, X, T, check_degenerate=False)
+    d = analytic_derivatives_grid(sset, medium, xs[:, None], ts[None, :],
+                                  check_degenerate=False)
     bad = d["degenerate"]
     res = np.abs(_residual_arrays(kind, medium, d))
     good = ~bad
@@ -296,7 +296,7 @@ def collision_metrics(sset: SolitonSet, medium: Medium, t_far: float,
 
     matched: dict[float, list[float]] = {}
     for t_signed in (-t_far, t_far):
-        vals = np.abs(engine.psi(xs, np.full_like(xs, t_signed)))
+        vals = np.abs(engine.psi(xs, t_signed))
         peaks = [polish(x0, t_signed)
                  for x0, _ in _two_largest_maxima(xs, vals)]
         if abs(peaks[0][0] - peaks[1][0]) <= 5 * max(widths):

@@ -26,6 +26,7 @@ from hirota_trace import (
     one_soliton_closed,
     one_soliton_envelope_shift,
     phi,
+    random_admissible_set,
     series_partial_sums,
     spectral_radius_q,
 )
@@ -99,6 +100,27 @@ class TestModes:
     def test_phi_overflow_guard(self):
         with pytest.raises(FieldOverflowError):
             phi(CANON_SOLITON, CANON_MEDIUM, SpaceTimePoint(800.0, 0.0))
+
+    @pytest.mark.parametrize("evaluate", [
+        eval_psi_closed, spectral_radius_q,
+        lambda s, m, pt: series_partial_sums(s, m, pt, 3)],
+        ids=["closed", "spectral_radius", "series"])
+    def test_squared_mode_products_overflow_guard(self, evaluate):
+        # every single mode exponent is below EXP_LIMIT here, but the entries
+        # of D conj(D) are not; the suite turns RuntimeWarning into an error,
+        # so any bare overflow warning before the raise fails this test
+        sset = random_admissible_set(3, 4)
+        with pytest.raises(FieldOverflowError):
+            evaluate(sset, Medium(1, 1, 8), SpaceTimePoint(300.0, 0.0))
+
+    def test_far_field_dense_solve_raises_only_typed_errors(self):
+        sset = random_admissible_set(3, 4)
+        for x in np.arange(-400.0, 401.0, 25.0):
+            for t in (-20.0, 0.0, 20.0):
+                try:
+                    eval_psi_closed(sset, CANON_MEDIUM, SpaceTimePoint(x, t))
+                except (FieldOverflowError, DegeneratePointError):
+                    pass
 
 
 class TestMatrices:

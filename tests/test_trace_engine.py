@@ -102,15 +102,28 @@ def exact_cauchy_binet(p: np.ndarray, coupling: float, excess: int) -> dict:
     return out
 
 
+def _bit_index(subset: frozenset) -> int:
+    return sum(1 << int(k) for k in subset)
+
+
 class TestCauchyBinetCoefficients:
     @pytest.mark.parametrize("n,seed", [(1, 30), (2, 31), (3, 32), (3, 33),
                                         (4, 34), (4, 35)])
     @pytest.mark.parametrize("lam", [8.0, 3.0])
     def test_matches_exact_minors(self, n, seed, lam):
         p = random_admissible_set(n, seed).p
-        for excess, count in ((0, math.comb(2 * n, n)),
+        for excess, count in ((0, (math.comb(2 * n, n) + 2 ** n) // 2),
                               (1, math.comb(2 * n, n - 1))):
             want = exact_cauchy_binet(p, lam / 8, excess)
+            if not excess:
+                # f is real: the (T, S) minor is the conjugate of the (S, T)
+                # one, so only S <= T (by bit index) is kept, twice off the
+                # diagonal
+                for (S, T), w in want.items():
+                    assert abs(want[T, S] - w.conjugate()) <= 1e-13 * abs(w)
+                want = {(S, T): w * (1 if S == T else 2)
+                        for (S, T), w in want.items()
+                        if _bit_index(S) <= _bit_index(T)}
             a, b, coef = _cauchy_binet_terms(p, lam / 8, excess)
             got = {(frozenset(np.flatnonzero(s)), frozenset(np.flatnonzero(t))):
                    c for s, t, c in zip(a, b, coef)}
@@ -243,7 +256,7 @@ class TestSixSolitons:
     def test_terms_oracle_and_residual(self):
         sset = random_admissible_set(6, 36)
         engine = compiled(sset, MEDIUM)
-        assert len(engine._f.coef) == 924
+        assert len(engine._f.coef) == (924 + 2 ** 6) // 2  # S <= T
         assert len(engine._g.coef) == 792
         for x, t in [(0.0, 0.0), (1.5, -0.5), (-2.0, 0.3)]:
             got = complex(engine.psi(np.asarray(x), np.asarray(t)))
