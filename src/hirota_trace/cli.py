@@ -1,7 +1,8 @@
 """Command-line front end: JSON configs in, CSV/JSON fields and reports out.
 
-Exit codes: 0 success, 1 malformed configuration, 2 degenerate grid points
-were skipped (field command), 3 tolerance failure.
+Exit codes: 0 success, 1 malformed configuration or a domain error (such as
+a non-finite field value), 2 degenerate grid points were skipped (field
+command), 3 tolerance failure.
 """
 
 from __future__ import annotations
@@ -10,7 +11,10 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
+
+import numpy as np
 
 from .calculus import analytic_derivatives, fd_derivatives
 from .core import (
@@ -25,6 +29,7 @@ from .core import (
 from .errors import (
     ConfigError,
     DegeneratePointError,
+    NonFiniteFieldError,
     SolitonFieldError,
 )
 from .identities import run_identity_suite
@@ -154,42 +159,64 @@ def dump_config(cfg: RunConfig) -> str:
 # commands
 
 
-def _field_records(cfg: RunConfig):
-    """(x, t, psi, degenerate) rows in t-major order."""
+#: rows of the ``field`` table formatted by one %-operation and written at
+#: once, which bounds the command's working memory whatever the grid size
+FIELD_BLOCK_ROWS = 4096
+_CSV_ROW = "%s,%s,%.17g,%.17g,%.17g\n"
+#: ``json.dumps`` of a row dict with its default separators; %r of a Python
+#: float is the shortest round-trip repr that ``json.dumps`` writes
+_JSON_ROW = '{"x": %s, "t": %s, "re_psi": %r, "im_psi": %r, "abs_psi": %r}'
+
+
+def _field_blocks(row: str, sep: str, xstr: np.ndarray, tstr: np.ndarray,
+                  psi: np.ndarray, keep: np.ndarray):
+    """The kept rows (flat t-major indices ``keep`` into the nt by nx
+    table) in text blocks of at most FIELD_BLOCK_ROWS rows, each joined by
+    ``sep`` and formatted by one %-operation on Python objects."""
+    args = np.empty((FIELD_BLOCK_ROWS, 5), dtype=object)
+    for lo in range(0, len(keep), FIELD_BLOCK_ROWS):
+        it, ix = np.divmod(keep[lo:lo + FIELD_BLOCK_ROWS], len(xstr))
+        z = psi[ix, it]
+        cols = args[:len(z)]
+        cols[:, 0] = xstr[ix]
+        cols[:, 1] = tstr[it]
+        cols[:, 2] = z.real.tolist()
+        cols[:, 3] = z.imag.tolist()
+        # Python's abs(complex), not np.abs, which differs in the last ulp
+        cols[:, 4] = list(map(abs, z.tolist()))
+        yield sep.join([row] * len(z)) % tuple(cols.ravel().tolist())
+
+
+def cmd_field(cfg: RunConfig, out_path: str | None, fmt: str) -> int:
     xs = cfg.grid.xs()
     ts = cfg.grid.ts()
     engine = compiled(cfg.solitons, cfg.medium)
     d = engine.derivatives(xs[:, None], ts[None, :], orders=[(0, 0)],
                            check_degenerate=False)
     psi, bad = d["psi"], d["degenerate"]
-    for it in range(len(ts)):
-        for ix in range(len(xs)):
-            yield xs[ix], ts[it], psi[ix, it], bool(bad[ix, it])
-
-
-def cmd_field(cfg: RunConfig, out_path: str | None, fmt: str) -> int:
-    n_bad = 0
-    rows = []
-    for x, t, psi, bad in _field_records(cfg):
-        if bad:
-            n_bad += 1
-            continue
-        rows.append((x, t, psi))
+    broken = ~(np.isfinite(psi) | bad)
+    if broken.any():
+        it, ix = np.argwhere(broken.T)[0]
+        raise NonFiniteFieldError(
+            f"non-finite psi at {int(np.count_nonzero(broken))} "
+            f"non-degenerate grid point(s), first at (x, t) = "
+            f"({xs[ix]:.17g}, {ts[it]:.17g})")
+    keep = np.flatnonzero(~bad.T)
     if fmt == "csv":
-        lines = ["x,t,re_psi,im_psi,abs_psi"]
-        lines += ["%s,%s,%s,%s,%s" % (_fmt(x), _fmt(t), _fmt(psi.real),
-                                      _fmt(psi.imag), _fmt(abs(psi)))
-                  for x, t, psi in rows]
-        text = "\n".join(lines) + "\n"
+        head, row, sep, tail, num = ("x,t,re_psi,im_psi,abs_psi\n",
+                                     _CSV_ROW, "", "", _fmt)
     else:
-        text = json.dumps([{"x": x, "t": t, "re_psi": psi.real,
-                            "im_psi": psi.imag, "abs_psi": abs(psi)}
-                           for x, t, psi in rows]) + "\n"
-    if out_path and out_path != "-":
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        head, row, sep, tail, num = "[", _JSON_ROW, ", ", "]\n", repr
+    xstr = np.array([num(v) for v in xs.tolist()], dtype=object)
+    tstr = np.array([num(v) for v in ts.tolist()], dtype=object)
+    to_file = out_path and out_path != "-"
+    with open(out_path, "w") if to_file else nullcontext(sys.stdout) as fh:
+        fh.write(head)
+        for k, block in enumerate(_field_blocks(row, sep, xstr, tstr, psi,
+                                                keep)):
+            fh.write(block if k == 0 else sep + block)
+        fh.write(tail)
+    n_bad = bad.size - len(keep)
     if n_bad:
         print(f"skipped {n_bad} degenerate point(s)", file=sys.stderr)
         return 2

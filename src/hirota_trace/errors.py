@@ -32,3 +32,7 @@ class EmptyReportError(SolitonFieldError):
 
 class ConfigError(SolitonFieldError):
     """A run configuration file is malformed or violates an invariant."""
+
+
+class NonFiniteFieldError(SolitonFieldError):
+    """A field value at a non-degenerate grid point is NaN or infinite."""

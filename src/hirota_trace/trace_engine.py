@@ -291,6 +291,20 @@ _NAMES = {(0, 0): "psi", (1, 0): "psi_x", (2, 0): "psi_xx",
           (3, 0): "psi_xxx", (0, 1): "psi_t"}
 
 
+def _check_orders(orders: list[tuple[int, int]]) -> None:
+    """Raise ValueError unless every order is one of _NAMES and comes with
+    the lower orders that the Leibniz recursion in _ratio_jets reads."""
+    for o in orders:
+        if not isinstance(o, tuple) or o not in _NAMES:
+            raise ValueError(f"unknown derivative order {o!r}; "
+                             f"known orders are {list(_NAMES)}")
+    for i, l in orders:
+        for need in [(k, 0) for k in range(i)] + [(0, 0)] * l:
+            if need not in orders:
+                raise ValueError(f"derivative order {(i, l)} needs order "
+                                 f"{need} in the same request")
+
+
 def _ratio_jets(fj: dict, gj: dict, r, out: dict) -> None:
     """psi and its derivatives from scaled jets of f and g and the scale
     ratio r = exp(s_g - s_f), by Leibniz on g = psi * f solved for the
@@ -370,10 +384,14 @@ class CompiledSolution:
         """psi and its requested derivatives as arrays keyed by name.
 
         Keys: 'psi', 'psi_x', 'psi_xx', 'psi_xxx', 'psi_t' (as requested).
+        Each order must come with the lower orders its recursion reads:
+        (i, 0) with every (k, 0), k < i, and (0, 1) with (0, 0); ValueError
+        names an unknown or missing order before any evaluation.
         Raises DegeneratePointError if any point cancels past precision and
         ``check_degenerate`` is set; pass False to get NaN there plus a
         'degenerate' boolean mask instead.
         """
+        _check_orders(orders)
         out = self._evaluate(x, t, orders)
         bad = out["degenerate"]
         if np.any(bad):

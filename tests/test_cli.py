@@ -4,10 +4,25 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from hirota_trace.cli import dump_config, load_config, main, parse_config
+from hirota_trace import (
+    CompiledSolution,
+    compiled,
+    random_admissible_set,
+    trace_engine,
+)
+from hirota_trace.cli import (
+    FIELD_BLOCK_ROWS,
+    cmd_field,
+    dump_config,
+    load_config,
+    main,
+    parse_config,
+)
 from hirota_trace.errors import ConfigError
 
 CANONICAL = {
@@ -135,6 +150,134 @@ class TestFieldCommand:
         bad.write_text("{}")
         assert main(["field", "--config", str(bad)]) == 1
         assert "config error" in capsys.readouterr().err
+
+
+def soliton_config(n: int, seed: int, x=(-10.0, 10.0, 41),
+                   t=(-5.0, 5.0, 21)) -> dict:
+    return {
+        "medium": {"rho": 1.0, "sigma": 1.0, "lambda": 8.0},
+        "solitons": [{"p": [s.p.real, s.p.imag],
+                      "a0": [s.a0.real, s.a0.imag]}
+                     for s in random_admissible_set(n, seed).solitons],
+        "grid": {"x": list(x), "t": list(t)}}
+
+
+def reference_field(cfg, fmt: str) -> tuple[int, str, str]:
+    """(exit code, table, stderr) of ``field`` formatted row by row: each
+    CSV value through format(v, ".17g"), the JSON table through json.dumps
+    of the row dicts."""
+    xs, ts = cfg.grid.xs(), cfg.grid.ts()
+    d = compiled(cfg.solitons, cfg.medium).derivatives(
+        xs[:, None], ts[None, :], orders=[(0, 0)], check_degenerate=False)
+    rows = [(xs[ix], ts[it], d["psi"][ix, it])
+            for it in range(len(ts)) for ix in range(len(xs))
+            if not d["degenerate"][ix, it]]
+    if fmt == "csv":
+        lines = ["x,t,re_psi,im_psi,abs_psi"]
+        lines += [",".join(format(float(v), ".17g")
+                           for v in (x, t, psi.real, psi.imag, abs(psi)))
+                  for x, t, psi in rows]
+        text = "\n".join(lines) + "\n"
+    else:
+        text = json.dumps([{"x": x, "t": t, "re_psi": psi.real,
+                            "im_psi": psi.imag, "abs_psi": abs(psi)}
+                           for x, t, psi in rows]) + "\n"
+    n_bad = int(np.count_nonzero(d["degenerate"]))
+    if n_bad:
+        return 2, text, f"skipped {n_bad} degenerate point(s)\n"
+    return 0, text, ""
+
+
+class TestFieldByteContract:
+    """``field`` writes exactly the bytes of the row-by-row formatter, to a
+    file and to stdout, in both formats."""
+
+    def check(self, tmp_path, capsys, data: dict) -> tuple[int, str]:
+        """Exit code and CSV table, once both formats are compared."""
+        path = write_cfg(tmp_path, data)
+        for fmt in ("json", "csv"):
+            want = reference_field(load_config(path), fmt)
+            out = tmp_path / f"field.{fmt}"
+            rc = main(["field", "--config", path, "--format", fmt,
+                       "--out", str(out)])
+            assert (rc, out.read_bytes().decode(), capsys.readouterr().err) \
+                == want
+            rc = main(["field", "--config", path, "--format", fmt])
+            captured = capsys.readouterr()
+            assert (rc, captured.out, captured.err) == want
+        return want[0], want[1]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_soliton_sets(self, tmp_path, capsys, n):
+        assert self.check(tmp_path, capsys,
+                          soliton_config(n, 20 + n))[0] == 0
+
+    def test_partial_last_block_and_zero_coordinate(self, tmp_path, capsys):
+        data = soliton_config(2, 5, x=(-4.0, 4.0, 129), t=(0.0, 2.0, 33))
+        rows = 129 * 33
+        assert rows > FIELD_BLOCK_ROWS and rows % FIELD_BLOCK_ROWS
+        rc, csv = self.check(tmp_path, capsys, data)
+        assert rc == 0
+        assert "\n-4,0," in csv and "\n0,0," in csv
+
+    def test_some_rows_skipped(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(trace_engine, "CANCEL_TOL", 1.0001)
+        rc, csv = self.check(tmp_path, capsys, soliton_config(3, 7))
+        assert rc == 2
+        assert 1 < csv.count("\n") < 1 + 41 * 21
+
+    def test_every_row_skipped(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(trace_engine, "CANCEL_TOL", 1e6)
+        self.check(tmp_path, capsys, soliton_config(3, 7))
+        path = str(tmp_path / "cfg.json")
+        for fmt, table in (("csv", "x,t,re_psi,im_psi,abs_psi\n"),
+                           ("json", "[]\n")):
+            assert main(["field", "--config", path, "--format", fmt]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == table
+            assert captured.err == f"skipped {41 * 21} degenerate point(s)\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_finite_field_value_is_an_error(tmp_path, capsys, monkeypatch,
+                                            fmt):
+    derivatives = CompiledSolution.derivatives
+
+    def one_nan(self, *args, **kwargs):
+        out = derivatives(self, *args, **kwargs)
+        assert not out["degenerate"][3, 2]
+        out["psi"][3, 2] = complex(math.nan, 0.0)
+        return out
+
+    monkeypatch.setattr(CompiledSolution, "derivatives", one_nan)
+    path = write_cfg(tmp_path, soliton_config(2, 5))
+    out = tmp_path / "field.out"
+    assert main(["field", "--config", path, "--format", fmt,
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    assert main(["field", "--config", path, "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: non-finite psi at 1 non-degenerate grid point(s), "
+        "first at (x, t) = (-8.5, -4)"] * 2
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_field_working_memory_is_bounded(tmp_path, fmt):
+    """Working memory of ``field`` at 401x201, N = 3: the table streams in
+    blocks of FIELD_BLOCK_ROWS rows (peak about 5 MiB in either format)."""
+    cfg = parse_config(soliton_config(3, 14, x=(-10.0, 10.0, 401),
+                                      t=(-5.0, 5.0, 201)))
+    out = str(tmp_path / "field.out")
+    compiled(cfg.solitons, cfg.medium)
+    tracemalloc.start()
+    try:
+        assert cmd_field(cfg, out, fmt) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20
 
 
 class TestResidualCommand:

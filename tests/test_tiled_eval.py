@@ -114,6 +114,40 @@ class TestAgreementWithPerPointPath:
         assert_agree(tiled, ref)
 
 
+#: a 7 x 5 tensor grid (tiled path) and three scattered points (per point)
+ORDER_POINTS = {
+    "tiled": (np.linspace(-3, 3, 7)[:, None], np.linspace(-1, 1, 5)[None, :]),
+    "per-point": (np.array([0.3, -1.0, 2.0]), np.array([0.1, 0.5, -0.2])),
+}
+
+
+class TestOrders:
+    @pytest.mark.parametrize("path", list(ORDER_POINTS))
+    @pytest.mark.parametrize("orders, message", [
+        ([(0, 0), (2, 0)], r"order \(2, 0\) needs order \(1, 0\)"),
+        ([(2, 0)], r"order \(2, 0\) needs order \(0, 0\)"),
+        ([(1, 0)], r"order \(1, 0\) needs order \(0, 0\)"),
+        ([(0, 0), (1, 0), (3, 0)], r"order \(3, 0\) needs order \(2, 0\)"),
+        ([(0, 1)], r"order \(0, 1\) needs order \(0, 0\)"),
+        ([(0, 0), (1, 1)], r"unknown derivative order \(1, 1\)"),
+        ([(0, 0), [1, 0]], r"unknown derivative order \[1, 0\]"),
+    ])
+    def test_invalid_orders_raise_value_error(self, path, orders, message):
+        engine = compiled(SEPARATED, MEDIUM)
+        with pytest.raises(ValueError, match=message):
+            engine.derivatives(*ORDER_POINTS[path], orders=orders)
+
+    @pytest.mark.parametrize("path", list(ORDER_POINTS))
+    def test_closed_subset_matches_full_request(self, path):
+        engine = compiled(SEPARATED, MEDIUM)
+        full = engine.derivatives(*ORDER_POINTS[path])
+        part = engine.derivatives(*ORDER_POINTS[path],
+                                  orders=[(0, 1), (0, 0)])
+        assert set(part) == {"psi", "psi_t", "degenerate"}
+        for key in ("psi", "psi_t"):
+            np.testing.assert_allclose(part[key], full[key], rtol=1e-13)
+
+
 class TestDegenerateMask:
     @pytest.mark.parametrize("tol", [1.0001, 0.9, 0.3])
     def test_tiled_mask_equals_per_point_mask(self, monkeypatch, tol):
