@@ -42,7 +42,9 @@ the small t-side factor.  The tile extents keep the scale inside a tile
 within TILE_SPREAD of s, so working memory grows with the output, not with
 terms by points.  Other point sets are scaled per point, in blocks of
 bounded size.  Either path runs its BLAS products on one thread
-(_OneBlasThread).
+(_OneBlasThread), and decides in the pass that sums f which points are
+degenerate: those where the summation condition number
+kappa_f = sum_j |term_j| / |f| exceeds 1 / CANCEL_TOL.
 
 This module is the evaluation engine behind grid fields, analytic
 derivatives, and therefore all residual checks.
@@ -54,7 +56,6 @@ import ctypes
 import os
 import threading
 from functools import lru_cache
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +63,10 @@ import numpy as np
 from .core import Medium, SolitonSet, dispersion
 from .errors import DegeneratePointError
 
-#: |f|/max-term below which the determinant cancels past double precision
+#: |f| / sum_j |term_j| (the inverse of f's summation condition number
+#: kappa_f) below which the determinant cancels past double precision.
+#: Random admissible sets reach kappa_f of about 1e2 (N <= 5), and random
+#: pairs with |p_1 - p_2| down to 1e-7 about 2e6, far from 1 / CANCEL_TOL.
 CANCEL_TOL = 1e-12
 #: most that the log scale s(x, t) = max_j log|term_j(x, t)| moves inside a
 #: tile, half along each axis.  Scaled terms and both separable factors
@@ -197,24 +201,26 @@ class _ExponentialSum:
                          for i, l in orders], axis=1)
 
     def scaled_jets(self, x: np.ndarray, t: np.ndarray,
-                    orders: list[tuple[int, int]]) -> tuple[dict, np.ndarray]:
-        """Per-point scaled derivative sums and the log scale factor s.
+                    orders: list[tuple[int, int]]
+                    ) -> tuple[dict, np.ndarray, np.ndarray]:
+        """Per-point scaled derivative sums, the log scale factor s and
+        the sum of the term magnitudes.
 
         x and t are flat arrays of the same length.  Returns
         jets[(i, l)] = exp(-s) * d^i/dx^i d^l/dt^l of the sum, with s the
-        log of the largest term at each point.
+        log of the largest term at each point (-inf for an empty sum), and
+        exp(-s) * sum_j |term_j|, which the weights of a real half-sum make
+        the sum over every pair (S, T).
         """
-        if not len(self.coef):
-            return ({o: np.zeros(len(x)) for o in orders},
-                    np.full(len(x), -np.inf))
         arg = (np.multiply.outer(self.xrate, x)
                + np.multiply.outer(self.trate, t))
-        s = np.max(arg.real + self.log_coef[:, None], axis=0)
+        s = np.max(arg.real + self.log_coef[:, None], axis=0,
+                   initial=-np.inf)
         terms = self.coef[:, None] * np.exp(arg - s)
         sums = self._weights(orders).T @ terms
         if self.real:
             sums = sums.real
-        return dict(zip(orders, sums)), s
+        return dict(zip(orders, sums)), s, np.abs(terms).sum(axis=0)
 
     def tile_jets(self, xs: np.ndarray, ts: np.ndarray, x_tiles: list,
                   t_tiles: list, orders: list[tuple[int, int]],
@@ -224,16 +230,9 @@ class _ExponentialSum:
 
         Yields (xsl, tsl, jets, s, total) per tile: jets[(i, l)] of shape
         (tile nx, tile nt) scaled by exp(-s), s the log of the largest term
-        at the tile centre, and, if ``abs_sum`` is set, sum_j |term_j| on
-        the same scale.
+        at the tile centre (-inf for an empty sum), and, if ``abs_sum`` is
+        set, sum_j |term_j| on the same scale.
         """
-        if not len(self.coef):
-            for xsl in x_tiles:
-                for tsl in t_tiles:
-                    yield (xsl, tsl, {o: np.zeros((xsl.stop - xsl.start,
-                                                   tsl.stop - tsl.start))
-                                      for o in orders}, -np.inf, None)
-            return
         weights = self._weights(orders)
 
         def x_side(xsl):
@@ -255,12 +254,13 @@ class _ExponentialSum:
             # (Re, Im) of each complex sum
             if self.real:
                 w = (weights[:, :, None] * et[:, None, :]).reshape(
-                    len(et), -1)
+                    len(et), len(orders) * len(dt))
                 right = np.concatenate((w.real, -w.imag))
             else:
                 w = (weights[:, None, :, None]
                      * np.array([1, 1j])[:, None, None]) * et[:, None, None, :]
-                right = w.view(float).reshape(2 * len(et), -1)
+                right = w.view(float).reshape(2 * len(et),
+                                              2 * len(orders) * len(dt))
             return tsl, tc, right, mag
 
         # one side is computed once and kept, the other once per tile row:
@@ -273,7 +273,7 @@ class _ExponentialSum:
             pairs = ((x, t) for x in map(x_side, x_tiles) for t in tf)
         for (xsl, xc, left, xmag), (tsl, tc, right, tmag) in pairs:
             centre = self.xrate * xc + self.trate * tc
-            s = float(np.max(centre.real + self.log_coef))
+            s = float(np.max(centre.real + self.log_coef, initial=-np.inf))
             coef = self.coef * np.exp(centre - s)
             left = left * coef
             if self.real:
@@ -293,7 +293,8 @@ _NAMES = {(0, 0): "psi", (1, 0): "psi_x", (2, 0): "psi_xx",
 
 def _check_orders(orders: list[tuple[int, int]]) -> None:
     """Raise ValueError unless every order is one of _NAMES and comes with
-    the lower orders that the Leibniz recursion in _ratio_jets reads."""
+    the lower orders that the Leibniz recursion in _ratio_jets reads, and
+    (0, 0) is requested."""
     for o in orders:
         if not isinstance(o, tuple) or o not in _NAMES:
             raise ValueError(f"unknown derivative order {o!r}; "
@@ -303,6 +304,8 @@ def _check_orders(orders: list[tuple[int, int]]) -> None:
             if need not in orders:
                 raise ValueError(f"derivative order {(i, l)} needs order "
                                  f"{need} in the same request")
+    if (0, 0) not in orders:
+        raise ValueError(f"every request needs order (0, 0), got {orders!r}")
 
 
 def _ratio_jets(fj: dict, gj: dict, r, out: dict) -> None:
@@ -376,8 +379,10 @@ class CompiledSolution:
         return out["psi"]
 
     def degenerate_mask(self, x, t) -> np.ndarray:
-        """True where f cancels past double precision (unreliable point)."""
-        return self._evaluate(x, t, [])["degenerate"]
+        """True where f cancels past double precision (unreliable point):
+        kappa_f = sum_j |term_j| / |f| exceeds 1 / CANCEL_TOL."""
+        return self.derivatives(x, t, [(0, 0)],
+                                check_degenerate=False)["degenerate"]
 
     def derivatives(self, x, t, orders: list[tuple[int, int]] = _ALL_ORDERS,
                     check_degenerate: bool = True) -> dict:
@@ -385,9 +390,11 @@ class CompiledSolution:
 
         Keys: 'psi', 'psi_x', 'psi_xx', 'psi_xxx', 'psi_t' (as requested).
         Each order must come with the lower orders its recursion reads:
-        (i, 0) with every (k, 0), k < i, and (0, 1) with (0, 0); ValueError
-        names an unknown or missing order before any evaluation.
-        Raises DegeneratePointError if any point cancels past precision and
+        (i, 0) with every (k, 0), k < i, and (0, 1) with (0, 0), and (0, 0)
+        is always requested; ValueError names an unknown or missing order
+        before any evaluation.  A point is degenerate where f cancels past
+        double precision, |f| < CANCEL_TOL * sum_j |term_j|.  Raises
+        DegeneratePointError if any point is degenerate and
         ``check_degenerate`` is set; pass False to get NaN there plus a
         'degenerate' boolean mask instead.
         """
@@ -405,15 +412,14 @@ class CompiledSolution:
         return out
 
     def _evaluate(self, x, t, orders: list[tuple[int, int]]) -> dict:
-        """Named jets for ``orders`` (f's cancellation mask alone when
-        empty) on broadcastable x, t: tiled on tensor grids, else per
-        point."""
+        """Named jets for ``orders`` and f's cancellation mask on
+        broadcastable x, t: tiled on tensor grids, else per point."""
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
         shape = np.broadcast(x, t).shape
         axes = _tensor_axes(x, t, shape)
         with _ONE_BLAS_THREAD:
-            if axes is None or not np.prod(shape):
+            if axes is None:
                 xf, tf = (np.broadcast_to(v, shape).ravel() for v in (x, t))
                 return {k: v.reshape(shape)
                         for k, v in self._pointwise(xf, tf, orders).items()}
@@ -432,13 +438,12 @@ class CompiledSolution:
                     // max(len(self._f.coef), len(self._g.coef)))
         for lo in range(0, len(x), block):
             sl = slice(lo, lo + block)
-            fj, sf = self._f.scaled_jets(x[sl], t[sl], orders or [(0, 0)])
-            out["degenerate"][sl] = np.abs(fj[(0, 0)]) < CANCEL_TOL
-            if orders:
-                gj, sg = self._g.scaled_jets(x[sl], t[sl], orders)
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    _ratio_jets(fj, gj, np.exp(sg - sf),
-                                {key: out[key][sl] for key in names})
+            fj, sf, total = self._f.scaled_jets(x[sl], t[sl], orders)
+            out["degenerate"][sl] = np.abs(fj[(0, 0)]) < CANCEL_TOL * total
+            gj, sg, _ = self._g.scaled_jets(x[sl], t[sl], orders)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                _ratio_jets(fj, gj, np.exp(sg - sf),
+                            {key: out[key][sl] for key in names})
         return out
 
     def _tile_slices(self, xs: np.ndarray, ts: np.ndarray
@@ -453,35 +458,22 @@ class CompiledSolution:
 
     def _tiled(self, xs: np.ndarray, ts: np.ndarray,
                orders: list[tuple[int, int]]) -> dict:
-        """Tiled separable evaluation on the sorted tensor grid xs by ts.
-
-        A point passes the cancellation screen when |f| >= 2 CANCEL_TOL *
-        sum_j |term_j|; since no single term exceeds that sum, such a point
-        is not degenerate.  Points failing the screen are evaluated again
-        per point, which decides their mask exactly.
-        """
+        """Tiled separable evaluation on the sorted tensor grid xs by ts."""
         shape = (len(xs), len(ts))
         names = [_NAMES[o] for o in orders]
         out = {key: np.empty(shape, dtype=complex) for key in names}
-        suspect = np.zeros(shape, dtype=bool)
+        out["degenerate"] = np.empty(shape, dtype=bool)
         x_tiles, t_tiles = self._tile_slices(xs, ts)
-        f_tiles = self._f.tile_jets(xs, ts, x_tiles, t_tiles,
-                                    orders or [(0, 0)], abs_sum=True)
-        g_tiles = (self._g.tile_jets(xs, ts, x_tiles, t_tiles, orders)
-                   if orders else repeat(None))
-        for (xsl, tsl, fj, sf, total), g in zip(f_tiles, g_tiles):
-            # the factor 2 covers the rounding of either path
-            suspect[xsl, tsl] = np.abs(fj[(0, 0)]) < 2 * CANCEL_TOL * total
-            if g is not None:
-                _, _, gj, sg, _ = g
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    _ratio_jets(fj, gj, np.exp(sg - sf),
-                                {key: out[key][xsl, tsl] for key in names})
-        out["degenerate"] = np.zeros(shape, dtype=bool)
-        ix, it = np.nonzero(suspect)
-        if len(ix):
-            for key, v in self._pointwise(xs[ix], ts[it], orders).items():
-                out[key][ix, it] = v
+        f_tiles = self._f.tile_jets(xs, ts, x_tiles, t_tiles, orders,
+                                    abs_sum=True)
+        g_tiles = self._g.tile_jets(xs, ts, x_tiles, t_tiles, orders)
+        for (xsl, tsl, fj, sf, total), (_, _, gj, sg, _) in zip(f_tiles,
+                                                                 g_tiles):
+            out["degenerate"][xsl, tsl] = (np.abs(fj[(0, 0)])
+                                           < CANCEL_TOL * total)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                _ratio_jets(fj, gj, np.exp(sg - sf),
+                            {key: out[key][xsl, tsl] for key in names})
         return out
 
 

@@ -221,7 +221,7 @@ class TestFieldByteContract:
         assert "\n-4,0," in csv and "\n0,0," in csv
 
     def test_some_rows_skipped(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(trace_engine, "CANCEL_TOL", 1.0001)
+        monkeypatch.setattr(trace_engine, "CANCEL_TOL", 0.99)
         rc, csv = self.check(tmp_path, capsys, soliton_config(3, 7))
         assert rc == 2
         assert 1 < csv.count("\n") < 1 + 41 * 21
@@ -261,6 +261,26 @@ def test_non_finite_field_value_is_an_error(tmp_path, capsys, monkeypatch,
     assert captured.err.splitlines() == [
         "error: non-finite psi at 1 non-degenerate grid point(s), "
         "first at (x, t) = (-8.5, -4)"] * 2
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_field_out_into_missing_directory_is_an_error(tmp_path, capsys, fmt):
+    path = write_cfg(tmp_path, soliton_config(2, 5))
+    out = tmp_path / "missing" / "field.out"
+    assert main(["field", "--config", path, "--format", fmt,
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert str(out) in captured.err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_residual_of_empty_set(tmp_path, capsys):
+    data = soliton_config(1, 0, x=(-10.0, 10.0, 401), t=(-5.0, 5.0, 201))
+    data["solitons"] = []
+    assert main(["residual", "--config", write_cfg(tmp_path, data)]) == 0
+    assert json.loads(capsys.readouterr().out)["max_rel"] == 0.0
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

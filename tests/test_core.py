@@ -207,6 +207,31 @@ class TestSpectralRadius:
         want = max(abs(np.linalg.eigvals(X)))
         assert q == pytest.approx(want, rel=1e-6)
 
+    def test_matches_hermitian_similarity_form(self):
+        # with D = L L^H, the product D conj(D) is similar to the Hermitian
+        # positive definite L^H conj(D) L, whose eigenvalues eigvalsh gives
+        rng = np.random.default_rng(7)
+        for draw in range(240):
+            sset = random_admissible_set(2 + draw % 4, 500 + draw)
+            pt = SpaceTimePoint(float(rng.uniform(-4.0, 4.0)),
+                                float(rng.uniform(-1.0, 1.0)))
+            D = build_D(sset, CANON_MEDIUM, pt)
+            L = np.linalg.cholesky(D)
+            H = (CANON_MEDIUM.lam / 8) * L.conj().T @ D.conj() @ L
+            want = np.linalg.eigvalsh(H).max()
+            assert spectral_radius_q(sset, CANON_MEDIUM, pt) \
+                == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("x,t", [(-2.0, 0.3), (0.0, 0.0), (1.5, -0.8)])
+    def test_one_soliton_closed_form(self, x, t):
+        # q = (lam/8) |phi|^4 / (p + conj(p))^2 for a single soliton
+        s = Soliton(p=0.8 + 0.4j, a0=1.1 - 0.6j)
+        pt = SpaceTimePoint(x, t)
+        want = (CANON_MEDIUM.lam / 8 * abs(phi(s, CANON_MEDIUM, pt)) ** 4
+                / (2 * s.p.real) ** 2)
+        assert spectral_radius_q(SolitonSet((s,)), CANON_MEDIUM, pt) \
+            == pytest.approx(want, rel=1e-13)
+
 
 class TestOneSolitonClosed:
     def test_matches_trace_formula_on_grid(self):

@@ -65,6 +65,7 @@ class TestAgreementWithPerPointPath:
         tiled = engine.derivatives(xs[:, None], ts[None, :],
                                    check_degenerate=False)
         assert tiled["psi"].shape == (len(xs), len(ts))
+        assert not tiled["degenerate"].any()
         # every other point of each axis keeps the reference cheap at N = 5
         sub = {k: v[::2, ::2] for k, v in tiled.items()}
         assert_agree(sub, per_point(engine, xs[::2, None], ts[None, ::2]))
@@ -104,7 +105,10 @@ class TestAgreementWithPerPointPath:
         (np.linspace(-5, 5, 7)[None, :], np.linspace(-1, 1, 4)[:, None]),
         (np.array([3.0, -4.0, 0.5, -4.0, 9.0])[:, None],      # unsorted
          np.array([0.4, -0.9, 0.0])[None, :]),
-    ], ids=["1x1", "nx1", "nt1", "scalar", "t-major", "unsorted"])
+        (np.zeros((0, 1)), np.linspace(-1, 1, 5)[None, :]),  # 0 x 5
+        (np.zeros(0), np.asarray(0.5)),                      # empty 1-D
+    ], ids=["1x1", "nx1", "nt1", "scalar", "t-major", "unsorted", "0x5",
+            "empty"])
     def test_small_and_reordered_grids(self, x, t):
         engine = compiled(random_admissible_set(4, 12), MEDIUM)
         tiled = engine.derivatives(x, t, check_degenerate=False)
@@ -131,6 +135,7 @@ class TestOrders:
         ([(0, 1)], r"order \(0, 1\) needs order \(0, 0\)"),
         ([(0, 0), (1, 1)], r"unknown derivative order \(1, 1\)"),
         ([(0, 0), [1, 0]], r"unknown derivative order \[1, 0\]"),
+        ([], r"every request needs order \(0, 0\), got \[\]"),
     ])
     def test_invalid_orders_raise_value_error(self, path, orders, message):
         engine = compiled(SEPARATED, MEDIUM)
@@ -149,20 +154,20 @@ class TestOrders:
 
 
 class TestDegenerateMask:
-    @pytest.mark.parametrize("tol", [1.0001, 0.9, 0.3])
+    @pytest.mark.parametrize("tol", [0.99, 0.9, 0.7])
     def test_tiled_mask_equals_per_point_mask(self, monkeypatch, tol):
+        # |f| <= sum_j |term_j|, so a CANCEL_TOL just below 1 flags the
+        # points where the terms of f cancel the most
         monkeypatch.setattr(trace_engine, "CANCEL_TOL", tol)
         engine = CompiledSolution(random_admissible_set(4, 8), MEDIUM)
         grid = GridSpec(-10.0, 10.0, 201, -5.0, 5.0, 51)
         xs, ts = grid.xs(), grid.ts()
-        rechecked = []
         pointwise = CompiledSolution._pointwise
 
-        def spy(self, x, t, orders):
-            rechecked.append(len(x))
-            return pointwise(self, x, t, orders)
+        def forbidden(self, x, t, orders):
+            raise AssertionError("the tiled path evaluated per point")
 
-        monkeypatch.setattr(CompiledSolution, "_pointwise", spy)
+        monkeypatch.setattr(CompiledSolution, "_pointwise", forbidden)
         tiled = engine.derivatives(xs[:, None], ts[None, :],
                                    check_degenerate=False)
         mask = engine.degenerate_mask(xs[:, None], ts[None, :])
@@ -171,17 +176,15 @@ class TestDegenerateMask:
         assert np.array_equal(mask, ref["degenerate"])
         assert_agree(tiled, ref)
         bad = ref["degenerate"]
+        assert 0 < np.count_nonzero(bad) < bad.size
         assert all(np.isnan(tiled[k][bad]).all() for k in NAMES)
-        if tol < 0.5:
-            # the screen passes most points and rechecks the rest
-            assert 0 < rechecked[0] < grid.nx * grid.nt
-        else:
-            assert bad.any()
+        assert not any(np.isnan(tiled[k][~bad]).any() for k in NAMES)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_cli_field_bytes_match_per_point_path(self, tmp_path, monkeypatch,
                                                   fmt):
-        monkeypatch.setattr(trace_engine, "CANCEL_TOL", 1.0001)
+        # the kept (x, t) columns match byte for byte and psi to 1e-11
+        monkeypatch.setattr(trace_engine, "CANCEL_TOL", 0.99)
         sset = random_admissible_set(3, 7)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -195,7 +198,15 @@ class TestDegenerateMask:
             out = tmp_path / name
             rc = main(["field", "--config", str(cfg), "--format", fmt,
                        "--out", str(out)])
-            return rc, out.read_bytes()
+            text = out.read_text()
+            if fmt == "csv":
+                rows = [r.split(",") for r in text.splitlines()[1:]]
+            else:
+                rows = [[repr(r["x"]), repr(r["t"]), r["re_psi"], r["im_psi"]]
+                        for r in json.loads(text)]
+            return (rc, [tuple(r[:2]) for r in rows],
+                    np.array([complex(float(r[2]), float(r[3]))
+                              for r in rows]))
 
         tiled = run("tiled")
         derivatives = CompiledSolution.derivatives
@@ -208,7 +219,34 @@ class TestDegenerateMask:
         monkeypatch.setattr(CompiledSolution, "derivatives", materialized)
         reference = run("per-point")
         assert tiled[0] == reference[0] == 2
+        assert 0 < len(tiled[1]) < 201 * 51
         assert tiled[1] == reference[1]
+        err = np.abs(tiled[2] - reference[2])
+        assert err.max() <= 1e-11 * max(1.0, np.abs(reference[2]).max())
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_clean_on_acceptance_grid_per_point(self, n):
+        engine = compiled(random_admissible_set(n, seed=100 + n), MEDIUM)
+        xs, ts = FULL_GRID.xs(), FULL_GRID.ts()
+        # every third point of each axis keeps the per-point path cheap
+        X, T = np.meshgrid(xs[::3], ts[::3], indexing="ij")
+        assert not engine._pointwise(X.ravel(), T.ravel(),
+                                     [(0, 0)])["degenerate"].any()
+
+    def test_clean_for_near_coincident_pair(self):
+        # a0_2^2 close to -a0_1^2 makes the one-soliton terms of f cancel
+        sset = SolitonSet.from_pairs([(0.8 + 0.3j, 1.0),
+                                      (0.8 + 1e-7 + 0.3j, 1.001j)])
+        engine = CompiledSolution(sset, MEDIUM)
+        xs, ts = FULL_GRID.xs(), FULL_GRID.ts()
+        assert not engine.degenerate_mask(xs[:, None], ts[None, :]).any()
+        X, T = np.meshgrid(xs[::4], ts[::4], indexing="ij")
+        fj, _, total = engine._f.scaled_jets(X.ravel(), T.ravel(), [(0, 0)])
+        kappa = total / np.abs(fj[(0, 0)])
+        # f cancels strongly here, yet far less than 1 / CANCEL_TOL
+        assert 1e5 < kappa.max() < 1e-3 / trace_engine.CANCEL_TOL
+        assert not engine._pointwise(X.ravel(), T.ravel(),
+                                     [(0, 0)])["degenerate"].any()
 
 
 def _full_f(sset: SolitonSet) -> _ExponentialSum:
@@ -245,11 +283,26 @@ class TestRealF:
         assert log_f.min() >= math.log1p(-1e-12)
         # the full sum over all (S, T) is real and equals the half-sum
         X, T = np.meshgrid(xs[::6], ts[::4], indexing="ij")
-        full, s = _full_f(sset).scaled_jets(X.ravel(), T.ravel(), [(0, 0)])
+        full, s, total = _full_f(sset).scaled_jets(X.ravel(), T.ravel(),
+                                                     [(0, 0)])
         f = full[(0, 0)]
         assert np.max(np.abs(f.imag) / np.abs(f)) <= 1e-12
         assert np.max(np.abs(s + np.log(f.real) - log_f[::6, ::4].ravel())) \
             <= 1e-11
+        # the weights of the half-sum count every term of f once in sum |term|
+        _, s_half, total_half = engine._f.scaled_jets(X.ravel(), T.ravel(),
+                                                      [(0, 0)])
+        assert np.max(np.abs(s_half + np.log(total_half)
+                             - s - np.log(total))) <= 1e-12
+
+
+def test_residual_report_of_empty_set():
+    # f and g of the empty set have one and no term
+    rep = residual_report(EquationKind.HIROTA, SolitonSet(()), MEDIUM,
+                          FULL_GRID)
+    assert rep.max_rel == 0.0
+    assert rep.n_points == FULL_GRID.nx * FULL_GRID.nt
+    assert rep.n_degenerate == 0
 
 
 def test_residual_report_memory_is_bounded():
