@@ -261,6 +261,11 @@ def cmd_residual(cfg: RunConfig, equation: str, fd_check: bool) -> int:
     }
     if fd_check:
         out["fd_order_estimate"] = _fd_order_estimate(cfg, report.worst_point)
+    broken = [key for key, v in out.items()
+              if isinstance(v, float) and not math.isfinite(v)]
+    if broken:
+        raise NonFiniteFieldError(
+            f"non-finite {', '.join(broken)} in the {equation} residual report")
     print(json.dumps(out, indent=2))
     return 0 if out["passed"] else 3
 

@@ -3,13 +3,17 @@ plus numerical cross-checks between the multi-sum and trace representations.
 
 The cubic and quadratic identities are polynomial in the 2n+1 symbols, so
 exact equality at random Gaussian-rational points (repeated with fresh
-draws) is a sound probabilistic certificate; all arithmetic here is done
-with fractions.Fraction components, never floats.
+draws) is a sound probabilistic certificate.  Both are homogeneous (degree
+3 and 2), so each point is scaled by the lcm L of its components'
+denominators and both sides are evaluated exactly over the Gaussian
+integers, as pairs of Python ints; lhs(L k) = L^d lhs(k), and likewise for
+rhs, so every verdict is exact and no float is involved.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,14 +79,78 @@ class GaussianRational:
         return complex(float(self.re), float(self.im))
 
 
-_ZERO = GaussianRational.of(0)
-
-
 def _require_odd(ks) -> int:
     """Return n for a length-(2n+1) tuple, rejecting even lengths."""
     if len(ks) % 2 == 0 or len(ks) == 0:
         raise ValueError(f"need an odd number of symbols, got {len(ks)}")
     return (len(ks) - 1) // 2
+
+
+# Gaussian integers are (re, im) pairs of Python ints.
+
+def _add(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _sub(a, b):
+    return a[0] - b[0], a[1] - b[1]
+
+
+def _mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _scaled(parts) -> tuple[list, int]:
+    """Gaussian integers L*k_j from the (numerator, denominator) pairs of the
+    components re_0, im_0, re_1, im_1, ..., and L, the lcm of the
+    denominators."""
+    scale = math.lcm(*(den for _, den in parts))
+    ints = [num * (scale // den) for num, den in parts]
+    return list(zip(ints[0::2], ints[1::2])), scale
+
+
+def _sides(ks) -> tuple[tuple, tuple]:
+    """Both sides of the cubic and of the quadratic identity at the Gaussian
+    integers ks, as ((cubic_lhs, cubic_rhs), (quadratic_lhs, quadratic_rhs)).
+
+    With P_j = k_0 + ... + k_{j-1}, T = P_{2n+1} and pair_j = k_j + k_{j+1}
+    (0-based), the rhs double sums over (l, m) collapse onto suffix sums over
+    the odd-indexed pairs, A_l = sum_{j odd >= 2l+1} pair_j and
+    B_l = sum_{j odd >= 2l+1} pair_j P_{j+1}:
+        cubic rhs     = 3 sum_l pair_{2l} ((P_{2l+1} + T) A_l - B_l),
+        quadratic rhs = 2 sum_l pair_{2l} A_l.
+    """
+    n = _require_odd(ks)
+    prefix = [(0, 0)]
+    for k in ks:
+        prefix.append(_add(prefix[-1], k))
+    total = prefix[-1]
+    pair = [_add(ks[j], ks[j + 1]) for j in range(2 * n)]
+    total2 = _mul(total, total)
+    cubes = alt = (0, 0)
+    for j, k in enumerate(ks):          # j even <=> 1-based position odd
+        sq = _mul(k, k)
+        cubes = _add(cubes, _mul(sq, k))
+        alt = _add(alt, sq) if j % 2 == 0 else _sub(alt, sq)
+    a = b = cubic = quadratic = (0, 0)
+    for l in reversed(range(n)):
+        a = _add(a, pair[2 * l + 1])
+        b = _add(b, _mul(pair[2 * l + 1], prefix[2 * l + 2]))
+        inner = _sub(_mul(_add(prefix[2 * l + 1], total), a), b)
+        cubic = _add(cubic, _mul(pair[2 * l], inner))
+        quadratic = _add(quadratic, _mul(pair[2 * l], a))
+    return ((_sub(_mul(total2, total), cubes), (3 * cubic[0], 3 * cubic[1])),
+            (_sub(total2, alt), (2 * quadratic[0], 2 * quadratic[1])))
+
+
+def _exact_sides(ks, which: int, degree: int):
+    """Sides of identity ``which`` of ``_sides`` (0 cubic, 1 quadratic) at
+    Gaussian rationals: scale ks by L, evaluate, divide by L**degree."""
+    ints, scale = _scaled([(c.numerator, c.denominator)
+                           for k in ks for c in (k.re, k.im)])
+    div = scale ** degree
+    return tuple(GaussianRational(Fraction(re, div), Fraction(im, div))
+                 for re, im in _sides(ints)[which])
 
 
 def identity_cubic(ks) -> tuple[GaussianRational, GaussianRational]:
@@ -92,19 +160,7 @@ def identity_cubic(ks) -> tuple[GaussianRational, GaussianRational]:
     contiguous prefix (through index 2l+1, 1-based), the two adjacent-pair
     factors, and the matching contiguous suffix (from index 2l+2m+3).
     """
-    n = _require_odd(ks)
-    total = sum(ks, _ZERO)
-    lhs = total ** 3 - sum((k ** 3 for k in ks), _ZERO)
-    rhs = _ZERO
-    for l in range(n):
-        for m in range(n - l):
-            prefix = sum(ks[: 2 * l + 1], _ZERO)
-            pair1 = ks[2 * l] + ks[2 * l + 1]
-            pair2 = ks[2 * l + 2 * m + 1] + ks[2 * l + 2 * m + 2]
-            suffix = sum(ks[2 * l + 2 * m + 2:], _ZERO)
-            rhs = rhs + pair1 * pair2 * (prefix + suffix)
-    three = GaussianRational.of(3)
-    return lhs, three * rhs
+    return _exact_sides(ks, 0, 3)
 
 
 def identity_quadratic(ks) -> tuple[GaussianRational, GaussianRational]:
@@ -113,20 +169,7 @@ def identity_quadratic(ks) -> tuple[GaussianRational, GaussianRational]:
     lhs = (sum k_j)^2 minus the alternating square sum (+ at odd 1-based
     positions); rhs doubles the sum of adjacent-pair products.
     """
-    n = _require_odd(ks)
-    total = sum(ks, _ZERO)
-    alt = _ZERO
-    for j, k in enumerate(ks):          # j even <=> 1-based position odd
-        sq = k ** 2
-        alt = alt + (sq if j % 2 == 0 else -sq)
-    lhs = total ** 2 - alt
-    rhs = _ZERO
-    for l in range(n):
-        for m in range(n - l):
-            pair1 = ks[2 * l] + ks[2 * l + 1]
-            pair2 = ks[2 * l + 2 * m + 1] + ks[2 * l + 2 * m + 2]
-            rhs = rhs + pair1 * pair2
-    return lhs, GaussianRational.of(2) * rhs
+    return _exact_sides(ks, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -147,26 +190,26 @@ def run_identity_suite(n_max: int = 3, trials: int = 100,
     """Check both identities with exact equality over random tuples.
 
     Components are random rationals with numerator and denominator drawn
-    from [-9, 9] (denominators nonzero), for every n up to n_max.
+    from [-9, 9] (denominators nonzero), for every n up to n_max.  Each
+    draw is scaled by the lcm of its denominators and checked over the
+    Gaussian integers.
     """
     if n_max < 1 or trials < 1:
         raise ValueError("n_max and trials must be positive")
     rng = np.random.default_rng(seed)
 
-    def rand_fraction() -> Fraction:
+    def rand_ratio() -> tuple[int, int]:
         num = int(rng.integers(-9, 10))
         den = 0
         while den == 0:
             den = int(rng.integers(-9, 10))
-        return Fraction(num, den)
+        return num, den
 
     checks = failures = 0
     for n in range(1, n_max + 1):
         for _ in range(trials):
-            ks = [GaussianRational(rand_fraction(), rand_fraction())
-                  for _ in range(2 * n + 1)]
-            for fn in (identity_cubic, identity_quadratic):
-                lhs, rhs = fn(ks)
+            ks, _ = _scaled([rand_ratio() for _ in range(2 * (2 * n + 1))])
+            for lhs, rhs in _sides(ks):
                 checks += 1
                 if lhs != rhs:
                     failures += 1

@@ -367,6 +367,29 @@ class TestIdentityCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["failures"] == 0
 
+    @pytest.mark.parametrize("n_max,trials,seed,checks", [
+        (3, 100, 42, 600), (3, 100, 7, 600), (1, 1, 0, 2), (5, 20, 3, 200)])
+    def test_output_pinned(self, capsys, n_max, trials, seed, checks):
+        assert main(["identity", "--n-max", str(n_max), "--trials",
+                     str(trials), "--seed", str(seed)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "{\n"
+            f'  "n_max": {n_max},\n'
+            f'  "trials": {trials},\n'
+            f'  "checks": {checks},\n'
+            '  "failures": 0,\n'
+            f'  "seed": {seed},\n'
+            '  "passed": true\n'
+            "}\n")
+        assert captured.err == ""
+
+    def test_zero_n_max_is_error(self, capsys):
+        assert main(["identity", "--n-max", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n_max and trials must be positive\n"
+
 
 class TestCollideCommand:
     def test_elastic_collision(self, tmp_path, capsys):
@@ -388,6 +411,20 @@ class TestConsoleScript:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.startswith("x,t,re_psi,im_psi,abs_psi")
+
+    def test_residual_non_finite_is_error(self, tmp_path):
+        # a0 = 1e160 overflows the term coefficients; the NumPy warnings
+        # it prints first are left to a subprocess, so none reaches pytest
+        cfg = dict(CANONICAL, solitons=[{"p": [1.0, 0.0], "a0": [1e160, 0.0]}])
+        proc = subprocess.run(
+            [sys.executable, "-m", "hirota_trace.cli", "residual",
+             "--config", write_cfg(tmp_path, cfg)],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines()[-1] == (
+            "error: non-finite max_abs, rms, normalizer, max_rel in the "
+            "hirota residual report")
 
     def test_determinism(self, canonical_path):
         runs = [subprocess.run(

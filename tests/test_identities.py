@@ -19,6 +19,7 @@ from hirota_trace import (
     recursion_residual,
     run_identity_suite,
 )
+from hirota_trace import identities
 from hirota_trace.identities import _psi_term
 
 MEDIUM = Medium(rho=1.0, sigma=1.0, lam=8.0)
@@ -27,6 +28,47 @@ CANON = SolitonSet((Soliton(p=1 + 0j, a0=complex(math.sqrt(2.0))),))
 
 def gr(re, im=0):
     return GaussianRational.of(re, im)
+
+
+_ZERO = gr(0)
+
+
+def reference_cubic(ks):
+    """Cubic sides by the literal O(n^3) double sum in Fraction arithmetic."""
+    n = (len(ks) - 1) // 2
+    total = sum(ks, _ZERO)
+    lhs = total ** 3 - sum((k ** 3 for k in ks), _ZERO)
+    rhs = _ZERO
+    for l in range(n):
+        for m in range(n - l):
+            prefix = sum(ks[: 2 * l + 1], _ZERO)
+            pair1 = ks[2 * l] + ks[2 * l + 1]
+            pair2 = ks[2 * l + 2 * m + 1] + ks[2 * l + 2 * m + 2]
+            suffix = sum(ks[2 * l + 2 * m + 2:], _ZERO)
+            rhs = rhs + pair1 * pair2 * (prefix + suffix)
+    return lhs, gr(3) * rhs
+
+
+def reference_quadratic(ks):
+    """Quadratic sides by the literal double sum in Fraction arithmetic."""
+    n = (len(ks) - 1) // 2
+    total = sum(ks, _ZERO)
+    alt = _ZERO
+    for j, k in enumerate(ks):
+        alt = alt + (k ** 2 if j % 2 == 0 else -(k ** 2))
+    rhs = _ZERO
+    for l in range(n):
+        for m in range(n - l):
+            rhs = rhs + ((ks[2 * l] + ks[2 * l + 1])
+                         * (ks[2 * l + 2 * m + 1] + ks[2 * l + 2 * m + 2]))
+    return total ** 2 - alt, gr(2) * rhs
+
+
+def random_fraction(rng, bound):
+    den = 0
+    while den == 0:
+        den = int(rng.integers(-bound, bound + 1))
+    return Fraction(int(rng.integers(-bound, bound + 1)), den)
 
 
 class TestGaussianRational:
@@ -86,6 +128,53 @@ class TestIdentities:
     def test_suite_validation(self):
         with pytest.raises(ValueError):
             run_identity_suite(n_max=0)
+
+    def test_sides_match_fraction_reference(self):
+        # 300 draws, n = 1..5, denominators up to 30 so that L is large
+        rng = np.random.default_rng(2024)
+        for i in range(300):
+            n = 1 + i % 5
+            ks = [GaussianRational(random_fraction(rng, 30),
+                                   random_fraction(rng, 30))
+                  for _ in range(2 * n + 1)]
+            cubic = identity_cubic(ks)
+            assert cubic == reference_cubic(ks)
+            assert identity_quadratic(ks) == reference_quadratic(ks)
+        assert all(isinstance(c, Fraction) for c in (cubic[0].re, cubic[1].im))
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_dropped_rhs_term_is_caught(self, monkeypatch, which):
+        # drop the (l, m) = (0, 0) term: 3 pair_0 pair_1 (P_1 + T - P_2)
+        # from the cubic rhs, or 2 pair_0 pair_1 from the quadratic one
+        sides = identities._sides
+        add, sub, mul = identities._add, identities._sub, identities._mul
+
+        def corrupted(ks):
+            out = list(sides(ks))
+            total = (0, 0)
+            for k in ks:
+                total = add(total, k)
+            term = mul(add(ks[0], ks[1]), add(ks[1], ks[2]))
+            if which == 0:
+                term = mul((3, 0), mul(term, sub(total, ks[1])))
+            else:
+                term = mul((2, 0), term)
+            lhs, rhs = out[which]
+            out[which] = (lhs, sub(rhs, term))
+            return tuple(out)
+
+        monkeypatch.setattr(identities, "_sides", corrupted)
+        report = run_identity_suite(n_max=3, trials=100, seed=42)
+        assert 0 < report.failures <= report.checks // 2
+        assert not report.ok
+
+    def test_suite_constructs_no_fraction(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("Fraction constructed by the suite")
+
+        monkeypatch.setattr(identities, "Fraction", forbidden)
+        report = run_identity_suite(n_max=3, trials=20, seed=1)
+        assert report.ok and report.checks == 2 * 3 * 20
 
 
 class TestCrossRepresentation:
