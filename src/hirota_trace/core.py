@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -167,6 +168,14 @@ class GridSpec:
     nt: int
 
     def __post_init__(self) -> None:
+        bounds = (self.x_min, self.x_max, self.t_min, self.t_max)
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError("grid bounds must be finite")
+        # twice each bound must be finite, so that every span and every tile
+        # centre (a + b) / 2 formed from grid points is finite too
+        if not all(math.isfinite(2 * v) for v in bounds):
+            raise ValueError("grid bounds must be at most "
+                             f"{sys.float_info.max / 2:.6g} in magnitude")
         if self.x_min > self.x_max or self.t_min > self.t_max:
             raise ValueError("grid bounds out of order")
         if self.nx < 1 or self.nt < 1:

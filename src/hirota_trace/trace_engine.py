@@ -40,9 +40,11 @@ terms by tile-x and exp(-H_j (t - t_c)) over terms by tile-t, and forms all
 requested jets in one BLAS product, with the derivative weights G^i H^l on
 the small t-side factor.  The tile extents keep the scale inside a tile
 within TILE_SPREAD of s, so working memory grows with the output, not with
-terms by points.  Other point sets are scaled per point, in blocks of
-bounded size.  Either path runs its BLAS products on one thread
-(_OneBlasThread), and decides in the pass that sums f which points are
+terms by points.  Every other point set goes through the same tiles: it is
+evaluated on the unique sorted values of x and of t (as one grid, or one x
+axis per distinct t when that grid would have more cells than there are
+points) and gathered back.  The BLAS products run on one thread
+(_OneBlasThread), and the pass that sums f decides which points are
 degenerate: those where the summation condition number
 kappa_f = sum_j |term_j| / |f| exceeds 1 / CANCEL_TOL.
 
@@ -53,6 +55,7 @@ derivatives, and therefore all residual checks.
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 import threading
 from functools import lru_cache
@@ -75,8 +78,6 @@ CANCEL_TOL = 1e-12
 TILE_SPREAD = 128.0
 #: most points along one axis of a tile
 TILE_POINTS = 128
-#: complex elements of one terms-by-points block of the per-point path
-BLOCK_ELEMS = 1 << 18
 
 
 def _openblas_thread_calls():
@@ -200,28 +201,6 @@ class _ExponentialSum:
         return np.stack([self.xrate ** i * self.trate ** l
                          for i, l in orders], axis=1)
 
-    def scaled_jets(self, x: np.ndarray, t: np.ndarray,
-                    orders: list[tuple[int, int]]
-                    ) -> tuple[dict, np.ndarray, np.ndarray]:
-        """Per-point scaled derivative sums, the log scale factor s and
-        the sum of the term magnitudes.
-
-        x and t are flat arrays of the same length.  Returns
-        jets[(i, l)] = exp(-s) * d^i/dx^i d^l/dt^l of the sum, with s the
-        log of the largest term at each point (-inf for an empty sum), and
-        exp(-s) * sum_j |term_j|, which the weights of a real half-sum make
-        the sum over every pair (S, T).
-        """
-        arg = (np.multiply.outer(self.xrate, x)
-               + np.multiply.outer(self.trate, t))
-        s = np.max(arg.real + self.log_coef[:, None], axis=0,
-                   initial=-np.inf)
-        terms = self.coef[:, None] * np.exp(arg - s)
-        sums = self._weights(orders).T @ terms
-        if self.real:
-            sums = sums.real
-        return dict(zip(orders, sums)), s, np.abs(terms).sum(axis=0)
-
     def tile_jets(self, xs: np.ndarray, ts: np.ndarray, x_tiles: list,
                   t_tiles: list, orders: list[tuple[int, int]],
                   abs_sum: bool = False):
@@ -293,17 +272,17 @@ _NAMES = {(0, 0): "psi", (1, 0): "psi_x", (2, 0): "psi_xx",
 
 def _check_orders(orders: list[tuple[int, int]]) -> None:
     """Raise ValueError unless every order is one of _NAMES and comes with
-    the lower orders that the Leibniz recursion in _ratio_jets reads, and
-    (0, 0) is requested."""
+    the lower orders that its Leibniz solve in _ratio_jets reads: (i, l)
+    reads psi's x-orders (k, 0) for every k < i + l."""
     for o in orders:
         if not isinstance(o, tuple) or o not in _NAMES:
             raise ValueError(f"unknown derivative order {o!r}; "
                              f"known orders are {list(_NAMES)}")
     for i, l in orders:
-        for need in [(k, 0) for k in range(i)] + [(0, 0)] * l:
-            if need not in orders:
+        for k in range(i + l):
+            if (k, 0) not in orders:
                 raise ValueError(f"derivative order {(i, l)} needs order "
-                                 f"{need} in the same request")
+                                 f"{(k, 0)} in the same request")
     if (0, 0) not in orders:
         raise ValueError(f"every request needs order (0, 0), got {orders!r}")
 
@@ -311,21 +290,24 @@ def _check_orders(orders: list[tuple[int, int]]) -> None:
 def _ratio_jets(fj: dict, gj: dict, r, out: dict) -> None:
     """psi and its derivatives from scaled jets of f and g and the scale
     ratio r = exp(s_g - s_f), by Leibniz on g = psi * f solved for the
-    highest derivative; written into the arrays ``out`` holds by name."""
+    highest derivative,
+
+        psi^(i) = (r g^(i) - sum_{k = i-1 .. 0} C(i, k) psi^(k) f^(i-k)) / f,
+
+    and psi_t = (r g_t - psi f_t) / f; written into the arrays ``out``
+    holds by name."""
     inv = 1 / fj[(0, 0)]
-    psi = np.multiply(r * gj[(0, 0)], inv, out=out["psi"])
-    if "psi_x" in out:
-        psi_x = np.multiply(r * gj[(1, 0)] - psi * fj[(1, 0)], inv,
-                            out=out["psi_x"])
-    if "psi_xx" in out:
-        psi_xx = np.multiply(r * gj[(2, 0)] - 2 * psi_x * fj[(1, 0)]
-                             - psi * fj[(2, 0)], inv, out=out["psi_xx"])
-    if "psi_xxx" in out:
-        np.multiply(r * gj[(3, 0)] - 3 * psi_xx * fj[(1, 0)]
-                    - 3 * psi_x * fj[(2, 0)] - psi * fj[(3, 0)], inv,
-                    out=out["psi_xxx"])
-    if "psi_t" in out:
-        np.multiply(r * gj[(0, 1)] - psi * fj[(0, 1)], inv, out=out["psi_t"])
+    psi = []
+    while (len(psi), 0) in fj:
+        i = len(psi)
+        acc = r * gj[(i, 0)]
+        for k in range(i - 1, -1, -1):
+            c = math.comb(i, k)
+            acc = acc - (c * psi[k] if c > 1 else psi[k]) * fj[(i - k, 0)]
+        psi.append(np.multiply(acc, inv, out=out[_NAMES[(i, 0)]]))
+    if (0, 1) in fj:
+        np.multiply(r * gj[(0, 1)] - psi[0] * fj[(0, 1)], inv,
+                    out=out["psi_t"])
 
 
 def _tiles(v: np.ndarray, rate: float):
@@ -413,38 +395,42 @@ class CompiledSolution:
 
     def _evaluate(self, x, t, orders: list[tuple[int, int]]) -> dict:
         """Named jets for ``orders`` and f's cancellation mask on
-        broadcastable x, t: tiled on tensor grids, else per point."""
+        broadcastable x, t, every one from _tiled.
+
+        Ascending axes and scalars are evaluated as they are.  Any other
+        point set is evaluated on the unique sorted values of x and of t and
+        gathered: on the grid of unique x by unique t when it has no more
+        cells than there are points, else on one x axis per distinct t.
+        Either way no more grid cells are evaluated than points requested.
+        """
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
         shape = np.broadcast(x, t).shape
         axes = _tensor_axes(x, t, shape)
         with _ONE_BLAS_THREAD:
-            if axes is None:
-                xf, tf = (np.broadcast_to(v, shape).ravel() for v in (x, t))
-                return {k: v.reshape(shape)
-                        for k, v in self._pointwise(xf, tf, orders).items()}
-            xs, ts, flip = axes
-            return {k: v.T if flip else v.reshape(shape)
-                    for k, v in self._tiled(xs, ts, orders).items()}
-
-    def _pointwise(self, x: np.ndarray, t: np.ndarray,
-                   orders: list[tuple[int, int]]) -> dict:
-        """Per-point scaled evaluation of flat point arrays, in blocks of at
-        most BLOCK_ELEMS terms by points."""
-        names = [_NAMES[o] for o in orders]
-        out = {key: np.empty(len(x), dtype=complex) for key in names}
-        out["degenerate"] = np.empty(len(x), dtype=bool)
-        block = max(1, BLOCK_ELEMS
-                    // max(len(self._f.coef), len(self._g.coef)))
-        for lo in range(0, len(x), block):
-            sl = slice(lo, lo + block)
-            fj, sf, total = self._f.scaled_jets(x[sl], t[sl], orders)
-            out["degenerate"][sl] = np.abs(fj[(0, 0)]) < CANCEL_TOL * total
-            gj, sg, _ = self._g.scaled_jets(x[sl], t[sl], orders)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                _ratio_jets(fj, gj, np.exp(sg - sf),
-                            {key: out[key][sl] for key in names})
-        return out
+            if axes is not None:
+                xs, ts, flip = axes
+                return {k: v.T if flip else v.reshape(shape)
+                        for k, v in self._tiled(xs, ts, orders).items()}
+            # NumPy versions differ on the shape of the inverse
+            xs, xi = np.unique(x, return_inverse=True)
+            ts, ti = np.unique(t, return_inverse=True)
+            xi, ti = np.broadcast_arrays(xi.reshape(x.shape),
+                                         ti.reshape(t.shape))
+            if len(xs) * len(ts) <= xi.size:
+                return {k: v[xi, ti]
+                        for k, v in self._tiled(xs, ts, orders).items()}
+            # the distinct (x, t) cells in t-major order, in runs of one t
+            cells, inverse = np.unique(ti * len(xs) + xi, return_inverse=True)
+            ct, cx = np.divmod(cells, len(xs))
+            cuts = [0, *(np.flatnonzero(np.diff(ct)) + 1).tolist(), len(cells)]
+            out = {}
+            for run in map(slice, cuts[:-1], cuts[1:]):
+                part = self._tiled(xs[cx[run]], ts[ct[run][:1]], orders)
+                for k, v in part.items():
+                    out.setdefault(k, np.empty(len(cells), v.dtype))[run] = \
+                        v[:, 0]
+            return {k: v[inverse.reshape(shape)] for k, v in out.items()}
 
     def _tile_slices(self, xs: np.ndarray, ts: np.ndarray
                      ) -> tuple[list, list]:

@@ -426,6 +426,25 @@ class TestConsoleScript:
             "error: non-finite max_abs, rms, normalizer, max_rel in the "
             "hirota residual report")
 
+    @pytest.mark.parametrize("command", ["field", "residual"])
+    @pytest.mark.parametrize("x, message", [
+        ([-math.inf, 2.0, 5], "grid bounds must be finite"),
+        ([math.nan, 2.0, 5], "grid bounds must be finite"),
+        ([1e308, 1.7e308, 5],
+         "grid bounds must be at most 8.98847e+307 in magnitude"),
+    ], ids=["minus-infinity", "nan", "overflowing-centre"])
+    def test_unusable_grid_bound_is_config_error(self, tmp_path, command, x,
+                                                 message):
+        # in a subprocess, so that stderr is seen whole, NumPy warnings too
+        cfg = dict(CANONICAL, grid={"x": x, "t": [-1.0, 1.0, 3]})
+        proc = subprocess.run(
+            [sys.executable, "-m", "hirota_trace.cli", command,
+             "--config", write_cfg(tmp_path, cfg)],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"config error: {message}\n"
+
     def test_determinism(self, canonical_path):
         runs = [subprocess.run(
             [sys.executable, "-m", "hirota_trace.cli", "residual",

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -268,3 +269,21 @@ class TestGridSpec:
             GridSpec(1.0, -1.0, 3, 0.0, 0.0, 1)
         with pytest.raises(ValueError):
             GridSpec(-1.0, 1.0, 0, 0.0, 0.0, 1)
+
+    @pytest.mark.parametrize("bounds, message", [
+        ((-math.inf, 2.0, 0.0, 0.0), "must be finite"),
+        ((math.nan, 2.0, 0.0, 0.0), "must be finite"),  # NaN > x is False
+        ((0.0, 1.0, math.nan, math.nan), "must be finite"),
+        ((1e308, 1.7e308, 0.0, 0.0), "in magnitude"),  # centre overflows
+        ((-1e308, 1e308, 0.0, 0.0), "in magnitude"),  # span overflows
+        ((0.0, 1.0, -1.7e308, 0.0), "in magnitude"),
+    ])
+    def test_bounds_that_overflow_are_rejected(self, bounds, message):
+        x_min, x_max, t_min, t_max = bounds
+        with pytest.raises(ValueError, match=message):
+            GridSpec(x_min, x_max, 5, t_min, t_max, 3)
+
+    def test_largest_accepted_bounds(self):
+        half = sys.float_info.max / 2
+        g = GridSpec(-half, half, 3, 0.0, 0.0, 1)
+        assert np.isfinite(g.xs()).all()

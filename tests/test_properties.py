@@ -1,6 +1,8 @@
 """Property tests (Hypothesis, an optional test dependency): the tiled
-evaluation of tensor grids agrees with the per-point path over admissible
-sets, near-coincident wavenumbers and grid rectangles out to |x| = 160."""
+evaluation of tensor grids agrees with an independent per-point reference
+(direct sums over every subset pair with high-precision determinant minors)
+over admissible sets, near-coincident wavenumbers and grid rectangles out to
+|x| = 160."""
 
 import numpy as np
 import pytest
@@ -51,4 +53,4 @@ def test_tiled_matches_per_point(sset, axes):
     engine = CompiledSolution(sset, MEDIUM)
     tiled = engine.derivatives(xs[:, None], ts[None, :],
                                check_degenerate=False)
-    assert_agree(tiled, per_point(engine, xs[:, None], ts[None, :]))
+    assert_agree(tiled, per_point(sset, xs[:, None], ts[None, :]))

@@ -1,12 +1,15 @@
-"""Tiled separable evaluation of tensor grids: agreement with the per-point
-path, the exact meaning of the degenerate mask, the real half-sum f, and the
-bounded working memory."""
+"""Tiled separable evaluation of every point set: agreement with an
+independent per-point reference (direct sums over every subset pair with
+high-precision determinant minors), point sets gathered from unique coordinates, the
+exact meaning of the degenerate mask, the real half-sum f, and the bounded
+working memory."""
 
 import json
 import math
 import tracemalloc
 from itertools import combinations
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -28,19 +31,127 @@ from hirota_trace.trace_engine import (
     _ALL_ORDERS,
     _ExponentialSum,
 )
+from test_trace_engine import mpmath_psi
 
 MEDIUM = Medium(rho=1.0, sigma=1.0, lam=8.0)
 FULL_GRID = GridSpec(-10.0, 10.0, 401, -5.0, 5.0, 201)
 SEPARATED = SolitonSet.from_pairs(
     [(0.5 + 0.2j, 1.0 + 0.2j), (1.2 - 0.3j, 0.8 - 0.5j)])
-NAMES = ("psi", "psi_x", "psi_xx", "psi_xxx", "psi_t")
+ORDERS = {"psi": (0, 0), "psi_x": (1, 0), "psi_xx": (2, 0),
+          "psi_xxx": (3, 0), "psi_t": (0, 1)}
+NAMES = tuple(ORDERS)
+
+_X, _T = np.meshgrid(np.linspace(-6, 6, 25), np.linspace(-2, 2, 9),
+                     indexing="ij")
+_SHUFFLE = np.random.default_rng(5).permutation(_X.size)
+_RNG = np.random.default_rng(6)
+#: point sets of every shape the engine accepts: ascending axes and scalars,
+#: evaluated as they are, and sets gathered from unique coordinates
+POINT_SETS = {
+    "1x1": (np.array([[0.3]]), np.array([[-0.2]])),
+    "nx1": (np.array([[1.5]]), np.linspace(-2, 2, 9)[None, :]),
+    "nt1": (np.linspace(-8, 8, 33)[:, None], np.array([[0.7]])),
+    "scalar": (np.asarray(0.4), np.asarray(1.1)),
+    "t-major": (np.linspace(-5, 5, 7)[None, :],
+                np.linspace(-1, 1, 4)[:, None]),
+    "unsorted": (np.array([3.0, -4.0, 0.5, -4.0, 9.0])[:, None],
+                 np.array([0.4, -0.9, 0.0])[None, :]),
+    "0x5": (np.zeros((0, 1)), np.linspace(-1, 1, 5)[None, :]),
+    "empty": (np.zeros(0), np.asarray(0.5)),
+    "ij-meshgrid": (_X, _T),
+    "xy-meshgrid": (_X.T, _T.T),
+    "shuffled": (_X.ravel()[_SHUFFLE], _T.ravel()[_SHUFFLE]),
+    "duplicated": (np.tile(_X.ravel()[_SHUFFLE], 2),
+                   np.tile(_T.ravel()[_SHUFFLE], 2)),
+    "diagonal": (np.linspace(-8, 8, 40), np.linspace(-2, 2, 40)),
+    "constant-t": (np.linspace(-3, 3, 41)[::-1], np.zeros(41)),
+    "scattered": (_RNG.uniform(-9, 9, 60), _RNG.choice([-1.5, 0.2, 3.0], 60)),
+    "3-d": (np.linspace(-3, 3, 6).reshape(2, 3, 1),
+            np.linspace(-1, 1, 4).reshape(1, 1, 4)),
+}
 
 
-def per_point(engine: CompiledSolution, x, t, orders=_ALL_ORDERS) -> dict:
-    """Reference values from the per-point path on every broadcast point."""
+def _minor_terms(sset: SolitonSet, excess: int) -> tuple:
+    """Every pair (S, T) with |S| = |T| + ``excess`` of f (0) or g (1):
+    membership rows a, b and c^|T| det(minor)^2, each minor of the Cauchy
+    matrix 1 / (p_i + conj(p_j)) (bordered by a column of ones for g) a
+    determinant taken by mpmath at 40 digits.  (np.linalg.det loses about
+    eps / gap^2 of a minor whose rows and columns each hold two p a gap
+    apart: 1e-8 of psi at a gap of 8e-3.)"""
+    p = [mpmath.mpc(v) for v in sset.p]
+    n = len(p)
+    a, b, coef = [], [], []
+    with mpmath.workdps(40):
+        for k in range(n + 1 - excess):
+            for S in combinations(range(n), k + excess):
+                for T in combinations(range(n), k):
+                    a.append(np.isin(np.arange(n), S))
+                    b.append(np.isin(np.arange(n), T))
+                    rows = [[1 / (p[i] + mpmath.conj(p[j])) for j in T]
+                            + [1] * excess for i in S]
+                    det = mpmath.det(mpmath.matrix(rows)) if S else 1
+                    coef.append(complex((MEDIUM.lam / 8) ** k * det ** 2))
+    return (np.array(a, dtype=bool).reshape(len(a), n),
+            np.array(b, dtype=bool).reshape(len(b), n),
+            np.array(coef, dtype=complex))
+
+
+def _rates_and_coefs(sset: SolitonSet, excess: int) -> tuple:
+    """x-rate, t-rate and coefficient of each nonzero term of f (0) or g (1):
+    every term is coef * exp(xrate x + trate t)."""
+    a, b, gamma = _minor_terms(sset, excess)
+    p, a0 = sset.p, sset.a0
+    om = np.array([dispersion(pk, MEDIUM) for pk in p], dtype=complex)
+    coef = (gamma * np.prod(np.where(a, a0 ** 2, 1), axis=1)
+            * np.prod(np.where(b, a0.conj() ** 2, 1), axis=1))
+    keep = coef != 0  # a repeated p
+    return (2 * (a @ p + b @ p.conj()))[keep], \
+        (-2 * (a @ om + b @ om.conj()))[keep], coef[keep]
+
+
+def _point_sums(terms: tuple, x, t, orders) -> tuple:
+    """Jets of one sum of ``terms`` at the flat points x, t, summed directly
+    with each point's terms scaled by exp(-s), s the log of its largest
+    term: returns the jets, sum |term| and s."""
+    xrate, trate, coef = terms
+    arg = np.multiply.outer(x, xrate) + np.multiply.outer(t, trate)
+    s = np.max(arg.real + np.log(np.abs(coef)), axis=1, initial=-np.inf)
+    scaled = coef * np.exp(arg - s[:, None])
+    jets = {(i, l): scaled @ (xrate ** i * trate ** l) for i, l in orders}
+    return jets, np.abs(scaled).sum(axis=1), s
+
+
+def per_point(sset: SolitonSet, x, t, orders=_ALL_ORDERS) -> dict:
+    """Reference jets on every broadcast point, sharing no code with the
+    engine's evaluator: direct sums over every (S, T) pair of f and g with
+    coefficients from determinant minors (_minor_terms), and psi's jets by
+    Leibniz on g = psi f.  A point is degenerate where
+    |f| < CANCEL_TOL * sum |term|."""
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float),
                                np.asarray(t, dtype=float))
-    out = engine._pointwise(x.ravel(), t.ravel(), orders)
+    names = [name for name, o in ORDERS.items() if o in orders]
+    out = {name: np.empty(x.size, dtype=complex) for name in names}
+    out["degenerate"] = np.empty(x.size, dtype=bool)
+    f_terms, g_terms = (_rates_and_coefs(sset, excess) for excess in (0, 1))
+    xf, tf = x.ravel(), t.ravel()
+    for lo in range(0, x.size, 1024):
+        sl = slice(lo, lo + 1024)
+        fj, total, sf = _point_sums(f_terms, xf[sl], tf[sl], orders)
+        gj, _, sg = _point_sums(g_terms, xf[sl], tf[sl], orders)
+        fj = {o: v.real for o, v in fj.items()}  # f is real
+        out["degenerate"][sl] = (np.abs(fj[(0, 0)])
+                                 < trace_engine.CANCEL_TOL * total)
+        r = np.exp(sg - sf)
+        psi = {}
+        for i, l in sorted(orders):
+            known = r * gj[(i, l)]
+            if l:
+                known = known - psi[(0, 0)] * fj[(0, 1)]
+            for k in range(i):
+                known = known - math.comb(i, k) * psi[(k, 0)] * fj[(i - k, 0)]
+            psi[(i, l)] = known / fj[(0, 0)]
+        for name in names:
+            out[name][sl] = psi[ORDERS[name]]
     return {k: v.reshape(x.shape) for k, v in out.items()}
 
 
@@ -68,7 +179,7 @@ class TestAgreementWithPerPointPath:
         assert not tiled["degenerate"].any()
         # every other point of each axis keeps the reference cheap at N = 5
         sub = {k: v[::2, ::2] for k, v in tiled.items()}
-        assert_agree(sub, per_point(engine, xs[::2, None], ts[None, ::2]))
+        assert_agree(sub, per_point(sset, xs[::2, None], ts[None, ::2]))
         rep = residual_report(EquationKind.HIROTA, sset, MEDIUM, FULL_GRID)
         assert rep.max_rel <= 1e-8
         assert rep.n_degenerate == 0
@@ -81,13 +192,14 @@ class TestAgreementWithPerPointPath:
         xs = GridSpec(-160.0, 160.0, 4001, 0.0, 0.0, 1).xs()
         tiled = engine.derivatives(xs, t, check_degenerate=False)
         assert tiled["psi"].shape == xs.shape
-        assert_agree(tiled, per_point(engine, xs, t))
+        assert_agree(tiled, per_point(sset, xs, t))
         psi = engine.psi(xs, t)
         assert np.abs(psi - tiled["psi"]).max() <= 1e-11 * max(
             1.0, np.abs(psi).max())
 
     def test_grid_straddling_tile_boundaries(self):
-        engine = compiled(random_admissible_set(3, 11), MEDIUM)
+        sset = random_admissible_set(3, 11)
+        engine = compiled(sset, MEDIUM)
         xs = np.linspace(-40.0, 40.0, 2 * TILE_POINTS + 5)
         ts = np.linspace(-6.0, 6.0, TILE_POINTS + 3)
         # cut by point count on x and by the scale spread on t
@@ -95,33 +207,98 @@ class TestAgreementWithPerPointPath:
         assert len(x_tiles) > 2 and len(t_tiles) > 2
         tiled = engine.derivatives(xs[:, None], ts[None, :],
                                    check_degenerate=False)
-        assert_agree(tiled, per_point(engine, xs[:, None], ts[None, :]))
+        assert_agree(tiled, per_point(sset, xs[:, None], ts[None, :]))
 
-    @pytest.mark.parametrize("x,t", [
-        (np.array([[0.3]]), np.array([[-0.2]])),            # 1 x 1
-        (np.array([[1.5]]), np.linspace(-2, 2, 9)[None, :]),  # nx = 1
-        (np.linspace(-8, 8, 33)[:, None], np.array([[0.7]])),  # nt = 1
-        (np.asarray(0.4), np.asarray(1.1)),                   # scalars
-        (np.linspace(-5, 5, 7)[None, :], np.linspace(-1, 1, 4)[:, None]),
-        (np.array([3.0, -4.0, 0.5, -4.0, 9.0])[:, None],      # unsorted
-         np.array([0.4, -0.9, 0.0])[None, :]),
-        (np.zeros((0, 1)), np.linspace(-1, 1, 5)[None, :]),  # 0 x 5
-        (np.zeros(0), np.asarray(0.5)),                      # empty 1-D
-    ], ids=["1x1", "nx1", "nt1", "scalar", "t-major", "unsorted", "0x5",
-            "empty"])
+    @pytest.mark.parametrize("x,t", list(POINT_SETS.values()),
+                             ids=list(POINT_SETS))
     def test_small_and_reordered_grids(self, x, t):
-        engine = compiled(random_admissible_set(4, 12), MEDIUM)
-        tiled = engine.derivatives(x, t, check_degenerate=False)
-        ref = per_point(engine, x, t)
+        sset = random_admissible_set(4, 12)
+        tiled = compiled(sset, MEDIUM).derivatives(x, t,
+                                                   check_degenerate=False)
+        ref = per_point(sset, x, t)
         shape = np.broadcast(x, t).shape
         assert tiled["psi"].shape == ref["psi"].shape == shape
         assert_agree(tiled, ref)
 
 
-#: a 7 x 5 tensor grid (tiled path) and three scattered points (per point)
+def gathered(engine: CompiledSolution, x, t) -> dict:
+    """derivatives() of every broadcast point from axes calls on unique
+    sorted coordinates: one call on the grid of unique x by unique t when it
+    has no more cells than there are points, else one call per distinct t
+    on the unique x there; values gathered back by searchsorted."""
+    x, t = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(t, dtype=float))
+    ux, ut = np.unique(x), np.unique(t)
+    if ux.size * ut.size <= x.size:
+        grid = engine.derivatives(ux[:, None], ut[None, :],
+                                  check_degenerate=False)
+        xi, ti = np.searchsorted(ux, x), np.searchsorted(ut, t)
+        return {k: v[xi, ti] for k, v in grid.items()}
+    out = {}
+    for tk in ut:
+        at = t == tk
+        axis = np.unique(x[at])
+        row = engine.derivatives(axis, tk, check_degenerate=False)
+        for k, v in row.items():
+            out.setdefault(k, np.empty(x.shape, v.dtype))[at] = \
+                v[np.searchsorted(axis, x[at])]
+    return out
+
+
+class TestGatheredPointSets:
+    @pytest.mark.parametrize("x,t", list(POINT_SETS.values()),
+                             ids=list(POINT_SETS))
+    def test_bitwise_equal_to_unique_axes_calls(self, x, t):
+        engine = compiled(random_admissible_set(4, 12), MEDIUM)
+        got = engine.derivatives(x, t, check_degenerate=False)
+        want = gathered(engine, x, t)
+        assert set(got) == set(want)
+        for key in want:
+            assert got[key].shape == np.broadcast(x, t).shape
+            assert got[key].dtype == want[key].dtype
+            assert got[key].tobytes() == want[key].tobytes(), key
+
+    @pytest.mark.parametrize("x,t", list(POINT_SETS.values()),
+                             ids=list(POINT_SETS))
+    def test_never_more_cells_than_points(self, monkeypatch, x, t):
+        cells = []
+        tiled = CompiledSolution._tiled
+
+        def spy(self, xs, ts, orders):
+            cells.append(len(xs) * len(ts))
+            return tiled(self, xs, ts, orders)
+
+        monkeypatch.setattr(CompiledSolution, "_tiled", spy)
+        compiled(random_admissible_set(4, 12), MEDIUM).derivatives(x, t)
+        assert cells and sum(cells) <= np.broadcast(x, t).size
+
+    def test_meshgrid_at_found_points_matches_mpmath(self):
+        # the points of the 401 x 201 grid where the per-point evaluator of
+        # earlier versions was 3.7e-13 to 7.5e-13 from mpmath (dps 800)
+        sset = random_admissible_set(5, seed=105)
+        X, T = np.meshgrid(FULL_GRID.xs(), FULL_GRID.ts(), indexing="ij")
+        psi = compiled(sset, MEDIUM).psi(X, T)
+        for i, j in [(397, 30), (398, 30), (399, 30), (400, 30)]:
+            want = mpmath_psi(sset, MEDIUM, X[i, j], T[i, j], dps=800)
+            assert abs(psi[i, j] - want) <= 2e-13 * max(1.0, abs(want))
+
+    def test_scattered_points_memory_is_bounded(self):
+        rng = np.random.default_rng(0)
+        x, t = rng.uniform(-10, 10, 10 ** 4), rng.uniform(-5, 5, 10 ** 4)
+        engine = compiled(random_admissible_set(5, seed=105), MEDIUM)
+        tracemalloc.start()
+        try:
+            engine.psi(x, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2 ** 20
+
+
+#: a 7 x 5 tensor grid and three scattered points (one x axis per distinct t)
 ORDER_POINTS = {
     "tiled": (np.linspace(-3, 3, 7)[:, None], np.linspace(-1, 1, 5)[None, :]),
-    "per-point": (np.array([0.3, -1.0, 2.0]), np.array([0.1, 0.5, -0.2])),
+    "scattered": (np.array([0.3, -1.0, 2.0]), np.array([0.1, 0.5, -0.2])),
 }
 
 
@@ -159,20 +336,14 @@ class TestDegenerateMask:
         # |f| <= sum_j |term_j|, so a CANCEL_TOL just below 1 flags the
         # points where the terms of f cancel the most
         monkeypatch.setattr(trace_engine, "CANCEL_TOL", tol)
-        engine = CompiledSolution(random_admissible_set(4, 8), MEDIUM)
+        sset = random_admissible_set(4, 8)
+        engine = CompiledSolution(sset, MEDIUM)
         grid = GridSpec(-10.0, 10.0, 201, -5.0, 5.0, 51)
         xs, ts = grid.xs(), grid.ts()
-        pointwise = CompiledSolution._pointwise
-
-        def forbidden(self, x, t, orders):
-            raise AssertionError("the tiled path evaluated per point")
-
-        monkeypatch.setattr(CompiledSolution, "_pointwise", forbidden)
         tiled = engine.derivatives(xs[:, None], ts[None, :],
                                    check_degenerate=False)
         mask = engine.degenerate_mask(xs[:, None], ts[None, :])
-        monkeypatch.setattr(CompiledSolution, "_pointwise", pointwise)
-        ref = per_point(engine, xs[:, None], ts[None, :])
+        ref = per_point(sset, xs[:, None], ts[None, :])
         assert np.array_equal(mask, ref["degenerate"])
         assert_agree(tiled, ref)
         bad = ref["degenerate"]
@@ -183,7 +354,8 @@ class TestDegenerateMask:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_cli_field_bytes_match_per_point_path(self, tmp_path, monkeypatch,
                                                   fmt):
-        # the kept (x, t) columns match byte for byte and psi to 1e-11
+        # the kept (x, t) rows are those of the per-point reference, and psi
+        # agrees with it to 1e-11
         monkeypatch.setattr(trace_engine, "CANCEL_TOL", 0.99)
         sset = random_admissible_set(3, 7)
         cfg = tmp_path / "cfg.json"
@@ -194,44 +366,38 @@ class TestDegenerateMask:
                          for s in sset.solitons],
             "grid": {"x": [-10.0, 10.0, 201], "t": [-5.0, 5.0, 51]}}))
 
-        def run(name):
-            out = tmp_path / name
-            rc = main(["field", "--config", str(cfg), "--format", fmt,
-                       "--out", str(out)])
-            text = out.read_text()
-            if fmt == "csv":
-                rows = [r.split(",") for r in text.splitlines()[1:]]
-            else:
-                rows = [[repr(r["x"]), repr(r["t"]), r["re_psi"], r["im_psi"]]
-                        for r in json.loads(text)]
-            return (rc, [tuple(r[:2]) for r in rows],
-                    np.array([complex(float(r[2]), float(r[3]))
-                              for r in rows]))
-
-        tiled = run("tiled")
-        derivatives = CompiledSolution.derivatives
-
-        def materialized(self, x, t, *args, **kwargs):
-            x, t = np.broadcast_arrays(np.asarray(x, dtype=float),
-                                       np.asarray(t, dtype=float))
-            return derivatives(self, x, t, *args, **kwargs)
-
-        monkeypatch.setattr(CompiledSolution, "derivatives", materialized)
-        reference = run("per-point")
-        assert tiled[0] == reference[0] == 2
-        assert 0 < len(tiled[1]) < 201 * 51
-        assert tiled[1] == reference[1]
-        err = np.abs(tiled[2] - reference[2])
-        assert err.max() <= 1e-11 * max(1.0, np.abs(reference[2]).max())
+        out = tmp_path / "field"
+        rc = main(["field", "--config", str(cfg), "--format", fmt,
+                   "--out", str(out)])
+        text = out.read_text()
+        if fmt == "csv":
+            rows = [r.split(",")[:4] for r in text.splitlines()[1:]]
+        else:
+            rows = [[r["x"], r["t"], r["re_psi"], r["im_psi"]]
+                    for r in json.loads(text)]
+        rows = np.array(rows, dtype=float).reshape(-1, 4)
+        # rows are t-major
+        grid = GridSpec(-10.0, 10.0, 201, -5.0, 5.0, 51)
+        xs, ts = grid.xs(), grid.ts()
+        ref = per_point(sset, xs[None, :], ts[:, None], [(0, 0)])
+        keep = ~ref["degenerate"]
+        assert rc == 2
+        assert 0 < np.count_nonzero(keep) < 201 * 51
+        X, T = np.broadcast_arrays(xs[None, :], ts[:, None])
+        assert np.array_equal(rows[:, 0], X[keep])
+        assert np.array_equal(rows[:, 1], T[keep])
+        want = ref["psi"][keep]
+        err = np.abs(rows[:, 2] + 1j * rows[:, 3] - want)
+        assert err.max() <= 1e-11 * max(1.0, np.abs(want).max())
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_clean_on_acceptance_grid_per_point(self, n):
-        engine = compiled(random_admissible_set(n, seed=100 + n), MEDIUM)
+        sset = random_admissible_set(n, seed=100 + n)
         xs, ts = FULL_GRID.xs(), FULL_GRID.ts()
-        # every third point of each axis keeps the per-point path cheap
+        # every third point of each axis keeps the reference cheap
         X, T = np.meshgrid(xs[::3], ts[::3], indexing="ij")
-        assert not engine._pointwise(X.ravel(), T.ravel(),
-                                     [(0, 0)])["degenerate"].any()
+        assert not per_point(sset, X, T, [(0, 0)])["degenerate"].any()
+        assert not compiled(sset, MEDIUM).degenerate_mask(X, T).any()
 
     def test_clean_for_near_coincident_pair(self):
         # a0_2^2 close to -a0_1^2 makes the one-soliton terms of f cancel
@@ -240,31 +406,22 @@ class TestDegenerateMask:
         engine = CompiledSolution(sset, MEDIUM)
         xs, ts = FULL_GRID.xs(), FULL_GRID.ts()
         assert not engine.degenerate_mask(xs[:, None], ts[None, :]).any()
-        X, T = np.meshgrid(xs[::4], ts[::4], indexing="ij")
-        fj, _, total = engine._f.scaled_jets(X.ravel(), T.ravel(), [(0, 0)])
-        kappa = total / np.abs(fj[(0, 0)])
+        xs, ts = xs[::4], ts[::4]
+        kappa = max((total / np.abs(fj[(0, 0)])).max()
+                    for *_, fj, _, total in engine._f.tile_jets(
+                        xs, ts, *engine._tile_slices(xs, ts), [(0, 0)],
+                        abs_sum=True))
         # f cancels strongly here, yet far less than 1 / CANCEL_TOL
-        assert 1e5 < kappa.max() < 1e-3 / trace_engine.CANCEL_TOL
-        assert not engine._pointwise(X.ravel(), T.ravel(),
-                                     [(0, 0)])["degenerate"].any()
+        assert 1e5 < kappa < 1e-3 / trace_engine.CANCEL_TOL
+        X, T = np.meshgrid(xs, ts, indexing="ij")
+        assert not engine.degenerate_mask(X, T).any()
+        assert not per_point(sset, X, T, [(0, 0)])["degenerate"].any()
 
 
 def _full_f(sset: SolitonSet) -> _ExponentialSum:
-    """f over every pair (S, T), each Cauchy minor from np.linalg.det."""
-    p = sset.p
-    n = len(p)
-    A = 1 / (p[:, None] + p.conj()[None, :])
-    a, b, coef = [], [], []
-    for k in range(n + 1):
-        for S in combinations(range(n), k):
-            for T in combinations(range(n), k):
-                a.append(np.isin(np.arange(n), S))
-                b.append(np.isin(np.arange(n), T))
-                minor = np.linalg.det(A[np.ix_(S, T)]) if k else 1.0
-                coef.append((MEDIUM.lam / 8) ** k * minor ** 2)
-    om = np.array([dispersion(pk, MEDIUM) for pk in p])
-    return _ExponentialSum(np.array(a), np.array(b), np.array(coef), p,
-                           sset.a0, om)
+    """f over every pair (S, T), each Cauchy minor from _minor_terms."""
+    om = np.array([dispersion(pk, MEDIUM) for pk in sset.p])
+    return _ExponentialSum(*_minor_terms(sset, 0), sset.p, sset.a0, om)
 
 
 class TestRealF:
@@ -282,18 +439,20 @@ class TestRealF:
             log_f[xsl, tsl] = s + np.log(fj[(0, 0)])
         assert log_f.min() >= math.log1p(-1e-12)
         # the full sum over all (S, T) is real and equals the half-sum
-        X, T = np.meshgrid(xs[::6], ts[::4], indexing="ij")
-        full, s, total = _full_f(sset).scaled_jets(X.ravel(), T.ravel(),
-                                                     [(0, 0)])
-        f = full[(0, 0)]
-        assert np.max(np.abs(f.imag) / np.abs(f)) <= 1e-12
-        assert np.max(np.abs(s + np.log(f.real) - log_f[::6, ::4].ravel())) \
-            <= 1e-11
-        # the weights of the half-sum count every term of f once in sum |term|
-        _, s_half, total_half = engine._f.scaled_jets(X.ravel(), T.ravel(),
-                                                      [(0, 0)])
-        assert np.max(np.abs(s_half + np.log(total_half)
-                             - s - np.log(total))) <= 1e-12
+        xs, ts, log_f = xs[::6], ts[::4], log_f[::6, ::4]
+        tiles = engine._tile_slices(xs, ts)
+        full = _full_f(sset).tile_jets(xs, ts, *tiles, [(0, 0)], abs_sum=True)
+        half = engine._f.tile_jets(xs, ts, *tiles, [(0, 0)], abs_sum=True)
+        for (xsl, tsl, fj, s, total), (*_, s_half, total_half) in zip(full,
+                                                                      half):
+            f = fj[(0, 0)]
+            assert np.max(np.abs(f.imag) / np.abs(f)) <= 1e-12
+            assert np.max(np.abs(s + np.log(f.real) - log_f[xsl, tsl])) \
+                <= 1e-11
+            # the weights of the half-sum count every term of f once in
+            # sum |term|
+            assert np.max(np.abs(s_half + np.log(total_half)
+                                 - s - np.log(total))) <= 1e-12
 
 
 def test_residual_report_of_empty_set():
