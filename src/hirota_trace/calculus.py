@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Medium, SolitonSet, SpaceTimePoint, eval_psi_closed
+from .core import Medium, SolitonSet, SpaceTimePoint, eval_psi_closed_stack
 from .trace_engine import compiled
 
 DEFAULT_FD_STEP = 1e-3
@@ -113,27 +113,23 @@ def analytic_derivatives_grid(sset: SolitonSet, medium: Medium,
 def fd_derivatives(sset: SolitonSet, medium: Medium, pt: SpaceTimePoint,
                    h_x: float = DEFAULT_FD_STEP,
                    h_t: float = DEFAULT_FD_STEP) -> DerivativeBundle:
-    """Finite-difference oracle built on eval_psi_closed samples.
+    """Finite-difference oracle built on closed-form samples.
 
     5-point 4th-order stencils for psi_x, psi_xx and psi_t, 7-point for
-    psi_xxx.  Degenerate-point errors from the underlying solve propagate.
+    psi_xxx.  The 17 stencil points (the 5- and 7-point x stencils, then the
+    5-point t stencil) are evaluated by one eval_psi_closed_stack call, so
+    each sample equals eval_psi_closed at its point, and the first stencil
+    point in that order whose dense solve fails raises its error
+    (DegeneratePointError, FieldOverflowError).
     """
     if h_x <= 0 or h_t <= 0:
         raise ValueError("steps must be positive")
-
-    def sample_x(offsets):
-        return [eval_psi_closed(sset, medium,
-                                SpaceTimePoint(pt.x + o * h_x, pt.t))
-                for o in offsets]
-
-    def sample_t(offsets):
-        return [eval_psi_closed(sset, medium,
-                                SpaceTimePoint(pt.x, pt.t + o * h_t))
-                for o in offsets]
-
-    x5 = sample_x(STENCIL_D1.offsets)
-    x7 = sample_x(STENCIL_D3.offsets)
-    t5 = sample_t(STENCIL_D1.offsets)
+    pts = ([SpaceTimePoint(pt.x + o * h_x, pt.t)
+            for o in STENCIL_D1.offsets + STENCIL_D3.offsets]
+           + [SpaceTimePoint(pt.x, pt.t + o * h_t) for o in STENCIL_D1.offsets])
+    samples = eval_psi_closed_stack(sset, medium, pts)
+    n5, n7 = len(STENCIL_D1.offsets), len(STENCIL_D3.offsets)
+    x5, x7, t5 = samples[:n5], samples[n5:n5 + n7], samples[n5 + n7:]
     return DerivativeBundle(
         psi=x5[len(x5) // 2],
         psi_x=STENCIL_D1.apply(x5, h_x),

@@ -8,6 +8,7 @@ command), 3 tolerance failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -318,7 +319,11 @@ def cmd_collide(cfg: RunConfig, t_far: float) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the life of
+    the process: parse_args leaves it unchanged, so every later call of
+    main reuses it."""
     parser = argparse.ArgumentParser(
         prog="hirota-trace",
         description="Exact envelope-soliton fields and their verification")

@@ -226,6 +226,29 @@ def build_B(sset: SolitonSet, medium: Medium, pt: SpaceTimePoint) -> np.ndarray:
     return np.outer(ph, ph) / denom if len(sset) else np.zeros((0, 0), complex)
 
 
+def _pair_denominators(sset: SolitonSet) -> tuple[np.ndarray, float]:
+    """The denominators p_m + conj(p_n) of D and their least modulus."""
+    p = sset.p
+    denom = p[:, None] + p.conj()[None, :]
+    dmin = float(np.abs(denom).min())
+    if dmin < DENOM_TOL:
+        raise SingularDenominatorError("p_m + conj(p_n) below tolerance")
+    return denom, dmin
+
+
+def _bounded_phis(sset: SolitonSet, medium: Medium, pt: SpaceTimePoint,
+                  dmin: float) -> list[complex]:
+    """The modes phi_k at pt, raising FieldOverflowError where the entries
+    of (lam/8) D conj(D) would leave double range (see build_D)."""
+    ph = [phi(s, medium, pt) for s in sset.solitons]
+    top = max(map(abs, ph))
+    if top and (4 * math.log(top) - 2 * math.log(dmin)
+                + math.log(len(sset) * medium.lam / 8)) > EXP_LIMIT:
+        raise FieldOverflowError(
+            f"D conj(D) entries outside double range at {pt}")
+    return ph
+
+
 def build_D(sset: SolitonSet, medium: Medium, pt: SpaceTimePoint) -> np.ndarray:
     """Matrix D_mn = phi_m * conj(phi_n) / (p_m + conj(p_n)).
 
@@ -236,18 +259,8 @@ def build_D(sset: SolitonSet, medium: Medium, pt: SpaceTimePoint) -> np.ndarray:
     """
     if not len(sset):
         return np.zeros((0, 0), complex)
-    p = sset.p
-    denom = p[:, None] + p.conj()[None, :]
-    dmin = float(np.abs(denom).min())
-    if dmin < DENOM_TOL:
-        raise SingularDenominatorError("p_m + conj(p_n) below tolerance")
-    ph = [phi(s, medium, pt) for s in sset.solitons]
-    top = max(map(abs, ph))
-    if top and (4 * math.log(top) - 2 * math.log(dmin)
-                + math.log(len(sset) * medium.lam / 8)) > EXP_LIMIT:
-        raise FieldOverflowError(
-            f"D conj(D) entries outside double range at {pt}")
-    ph = np.array(ph)
+    denom, dmin = _pair_denominators(sset)
+    ph = np.array(_bounded_phis(sset, medium, pt, dmin))
     return np.outer(ph, ph.conj()) / denom
 
 
@@ -257,12 +270,44 @@ def build_Bx(sset: SolitonSet, medium: Medium, pt: SpaceTimePoint) -> np.ndarray
     return np.outer(ph, ph)
 
 
-def _resolvent_matrix(sset: SolitonSet, medium: Medium,
-                      pt: SpaceTimePoint) -> tuple[np.ndarray, np.ndarray]:
-    D = build_D(sset, medium, pt)
-    Bx = build_Bx(sset, medium, pt)
-    M = np.eye(len(sset), dtype=complex) + (medium.lam / 8) * D @ D.conj()
-    return Bx, M
+def eval_psi_closed_stack(sset: SolitonSet, medium: Medium,
+                          pts: Sequence[SpaceTimePoint],
+                          cond_limit: float = COND_LIMIT) -> list[complex]:
+    """Closed-form field tr[B_x M^{-1}], M = I + (lam/8) D conj(D), at each
+    of ``pts``, by one stacked condition estimate and one stacked dense
+    factor-and-solve, never by the convergent series.
+
+    Each point's value is the one eval_psi_closed gives there.  The first
+    point of ``pts`` that fails raises what eval_psi_closed raises there:
+    FieldOverflowError where a mode leaves double range, and
+    DegeneratePointError where M is singular or its condition estimate
+    exceeds ``cond_limit``.
+    """
+    if not (len(sset) and len(pts)):
+        return [0j] * len(pts)
+    try:
+        denom, dmin = _pair_denominators(sset)
+        ph = np.array([_bounded_phis(sset, medium, pt, dmin) for pt in pts])
+        Bx = ph[:, :, None] * ph[:, None, :]
+        D = ph[:, :, None] * ph.conj()[:, None, :] / denom
+        M = np.eye(len(sset), dtype=complex) + (medium.lam / 8) * D @ D.conj()
+        cond = np.linalg.cond(M)
+        bad = ~np.isfinite(cond) | (cond > cond_limit)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise DegeneratePointError(f"cond(M) ~ {cond[k]:.3g} exceeds "
+                                       f"{cond_limit:.3g} at {pts[k]}")
+        Y = np.linalg.solve(M, Bx)
+    except (FieldOverflowError, np.linalg.LinAlgError) as exc:
+        if len(pts) > 1:
+            # a point before the one that stopped the stack may fail in
+            # another way: take the points one at a time, in order
+            for pt in pts:
+                eval_psi_closed_stack(sset, medium, [pt], cond_limit)
+        if isinstance(exc, FieldOverflowError):
+            raise
+        raise DegeneratePointError(f"singular M at {pts[0]}") from exc
+    return np.trace(Y, axis1=1, axis2=2).tolist()
 
 
 def eval_psi_closed(sset: SolitonSet, medium: Medium, pt: SpaceTimePoint,
@@ -272,20 +317,9 @@ def eval_psi_closed(sset: SolitonSet, medium: Medium, pt: SpaceTimePoint,
     Computed by a dense factor-and-solve, never by the convergent series;
     valid wherever M is invertible, including beyond the series region.
     Raises DegeneratePointError when the condition estimate of M exceeds
-    ``cond_limit``.
+    ``cond_limit``.  The one-point case of eval_psi_closed_stack.
     """
-    if len(sset) == 0:
-        return 0j
-    Bx, M = _resolvent_matrix(sset, medium, pt)
-    try:
-        cond = np.linalg.cond(M)
-        if not np.isfinite(cond) or cond > cond_limit:
-            raise DegeneratePointError(
-                f"cond(M) ~ {cond:.3g} exceeds {cond_limit:.3g} at {pt}")
-        Y = np.linalg.solve(M, Bx)
-    except np.linalg.LinAlgError as exc:
-        raise DegeneratePointError(f"singular M at {pt}") from exc
-    return complex(np.trace(Y))
+    return eval_psi_closed_stack(sset, medium, [pt], cond_limit)[0]
 
 
 def series_partial_sums(sset: SolitonSet, medium: Medium, pt: SpaceTimePoint,

@@ -189,26 +189,24 @@ def run_identity_suite(n_max: int = 3, trials: int = 100,
                        seed: int = 42) -> IdentityReport:
     """Check both identities with exact equality over random tuples.
 
-    Components are random rationals with numerator and denominator drawn
-    from [-9, 9] (denominators nonzero), for every n up to n_max.  Each
-    draw is scaled by the lcm of its denominators and checked over the
-    Gaussian integers.
+    Components are random rationals with numerator drawn uniformly from
+    [-9, 9] and denominator uniformly from its 18 nonzero values, for every
+    n up to n_max.  For each n, all the trials' numerators come from one
+    array draw and all their denominators from another, d + (d >= 0) of d
+    uniform on [-9, 8].  Each tuple is scaled by the lcm of its
+    denominators and checked over the Gaussian integers, as Python ints.
     """
     if n_max < 1 or trials < 1:
         raise ValueError("n_max and trials must be positive")
     rng = np.random.default_rng(seed)
-
-    def rand_ratio() -> tuple[int, int]:
-        num = int(rng.integers(-9, 10))
-        den = 0
-        while den == 0:
-            den = int(rng.integers(-9, 10))
-        return num, den
-
     checks = failures = 0
     for n in range(1, n_max + 1):
-        for _ in range(trials):
-            ks, _ = _scaled([rand_ratio() for _ in range(2 * (2 * n + 1))])
+        size = (trials, 2 * (2 * n + 1))
+        nums = rng.integers(-9, 10, size=size).tolist()
+        d = rng.integers(-9, 9, size=size)
+        dens = (d + (d >= 0)).tolist()
+        for num, den in zip(nums, dens):
+            ks, _ = _scaled(list(zip(num, den)))
             for lhs, rhs in _sides(ks):
                 checks += 1
                 if lhs != rhs:

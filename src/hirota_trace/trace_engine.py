@@ -57,6 +57,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+import sys
 import threading
 from functools import lru_cache
 from pathlib import Path
@@ -64,7 +65,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Medium, SolitonSet, dispersion
-from .errors import DegeneratePointError
+from .errors import DegeneratePointError, FieldOverflowError
 
 #: |f| / sum_j |term_j| (the inverse of f's summation condition number
 #: kappa_f) below which the determinant cancels past double precision.
@@ -215,14 +216,14 @@ class _ExponentialSum:
         weights = self._weights(orders)
 
         def x_side(xsl):
-            xc = 0.5 * (xs[xsl][0] + xs[xsl][-1])
+            xc = _centre(xs, xsl)
             dx = xs[xsl] - xc
             mag = np.exp(np.multiply.outer(dx, self.xrate.real)) \
                 if abs_sum else None
             return xsl, xc, np.exp(np.multiply.outer(dx, self.xrate)), mag
 
         def t_side(tsl):
-            tc = 0.5 * (ts[tsl][0] + ts[tsl][-1])
+            tc = _centre(ts, tsl)
             dt = ts[tsl] - tc
             et = np.exp(np.multiply.outer(self.trate, dt))
             mag = np.exp(np.multiply.outer(self.trate.real, dt)) \
@@ -310,6 +311,11 @@ def _ratio_jets(fj: dict, gj: dict, r, out: dict) -> None:
                     out=out["psi_t"])
 
 
+def _centre(v: np.ndarray, sl: slice) -> float:
+    """Centre of the tile ``sl`` of the sorted axis v."""
+    return 0.5 * (v[sl][0] + v[sl][-1])
+
+
 def _tiles(v: np.ndarray, rate: float):
     """Slices of the sorted axis v into tiles of at most TILE_POINTS points,
     each spanning at most TILE_SPREAD / rate."""
@@ -341,6 +347,13 @@ def _tensor_axes(x: np.ndarray, t: np.ndarray, shape: tuple
     return xs, ts, len(shape) == 2 and x.shape[1] > 1 and t.shape[0] > 1
 
 
+def _require_finite(xs: np.ndarray, ts: np.ndarray) -> None:
+    """Raise ValueError unless every value of the axes xs and ts is
+    finite."""
+    if not (np.isfinite(xs).all() and np.isfinite(ts).all()):
+        raise ValueError("space-time coordinates must be finite")
+
+
 class CompiledSolution:
     """Per-(SolitonSet, Medium) compiled evaluator of the exact field."""
 
@@ -353,6 +366,12 @@ class CompiledSolution:
         self._f = _ExponentialSum(*_cauchy_binet_terms(p, c, 0), p, a0, om,
                                   real=True)
         self._g = _ExponentialSum(*_cauchy_binet_terms(p, c, 1), p, a0, om)
+        # the largest real or imaginary part of any term's x and t rates
+        f, g = self._f, self._g
+        self._x_reach = float(np.abs(np.concatenate(
+            (f.xrate, g.xrate)).view(float)).max(initial=0))
+        self._t_reach = float(np.abs(np.concatenate(
+            (f.trate, g.trate)).view(float)).max(initial=0))
 
     def psi(self, x, t, check_degenerate: bool = True) -> np.ndarray:
         """Field values on broadcastable real arrays x, t."""
@@ -378,7 +397,10 @@ class CompiledSolution:
         double precision, |f| < CANCEL_TOL * sum_j |term_j|.  Raises
         DegeneratePointError if any point is degenerate and
         ``check_degenerate`` is set; pass False to get NaN there plus a
-        'degenerate' boolean mask instead.
+        'degenerate' boolean mask instead.  A NaN or infinite coordinate
+        raises ValueError, and FieldOverflowError is raised where a term's
+        exponent at a tile centre leaves double range; both before any
+        evaluation.
         """
         _check_orders(orders)
         out = self._evaluate(x, t, orders)
@@ -410,11 +432,13 @@ class CompiledSolution:
         with _ONE_BLAS_THREAD:
             if axes is not None:
                 xs, ts, flip = axes
+                _require_finite(xs, ts)
                 return {k: v.T if flip else v.reshape(shape)
                         for k, v in self._tiled(xs, ts, orders).items()}
             # NumPy versions differ on the shape of the inverse
             xs, xi = np.unique(x, return_inverse=True)
             ts, ti = np.unique(t, return_inverse=True)
+            _require_finite(xs, ts)
             xi, ti = np.broadcast_arrays(xi.reshape(x.shape),
                                          ti.reshape(t.shape))
             if len(xs) * len(ts) <= xi.size:
@@ -442,6 +466,35 @@ class CompiledSolution:
                 list(_tiles(ts, max(np.abs(s.trate.real).max(initial=0)
                                     for s in sums))))
 
+    def _check_range(self, xs: np.ndarray, ts: np.ndarray, x_tiles: list,
+                     t_tiles: list) -> None:
+        """Raise FieldOverflowError unless every term's exponent at every
+        tile centre, G_j x_c - H_j t_c, is a finite double.
+
+        While a bound on the exponent's parts stays below half the largest
+        double, it settles this.  Past that the exponent is formed at the
+        four pairs of the first and last tile centres, the extreme ones: it
+        is linear in (x_c, t_c) and its rounding is monotone in each.
+        """
+        if not (x_tiles and t_tiles):
+            return
+        reach = (self._x_reach * max(abs(float(xs[0])), abs(float(xs[-1])))
+                 + self._t_reach * max(abs(float(ts[0])), abs(float(ts[-1]))))
+        if reach <= sys.float_info.max / 2:
+            return
+        with np.errstate(over="ignore", invalid="ignore"):
+            xc = np.array([_centre(xs, x_tiles[0]), _centre(xs, x_tiles[-1])])
+            tc = np.array([_centre(ts, t_tiles[0]), _centre(ts, t_tiles[-1])])
+            finite = all(
+                np.isfinite(np.multiply.outer(s.xrate, xc)[:, :, None]
+                            + np.multiply.outer(s.trate, tc)[:, None]).all()
+                for s in (self._f, self._g))
+        if not finite:
+            raise FieldOverflowError(
+                "mode exponent outside double range on the grid x in "
+                f"[{xs[0]:.6g}, {xs[-1]:.6g}], t in "
+                f"[{ts[0]:.6g}, {ts[-1]:.6g}]")
+
     def _tiled(self, xs: np.ndarray, ts: np.ndarray,
                orders: list[tuple[int, int]]) -> dict:
         """Tiled separable evaluation on the sorted tensor grid xs by ts."""
@@ -450,6 +503,7 @@ class CompiledSolution:
         out = {key: np.empty(shape, dtype=complex) for key in names}
         out["degenerate"] = np.empty(shape, dtype=bool)
         x_tiles, t_tiles = self._tile_slices(xs, ts)
+        self._check_range(xs, ts, x_tiles, t_tiles)
         f_tiles = self._f.tile_jets(xs, ts, x_tiles, t_tiles, orders,
                                     abs_sum=True)
         g_tiles = self._g.tile_jets(xs, ts, x_tiles, t_tiles, orders)

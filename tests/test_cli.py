@@ -17,6 +17,7 @@ from hirota_trace import (
 )
 from hirota_trace.cli import (
     FIELD_BLOCK_ROWS,
+    _build_parser,
     cmd_field,
     dump_config,
     load_config,
@@ -445,9 +446,54 @@ class TestConsoleScript:
         assert proc.stdout == ""
         assert proc.stderr == f"config error: {message}\n"
 
+    @pytest.mark.parametrize("command", ["field", "residual"])
+    def test_overflowing_exponent_is_one_error_line(self, tmp_path, command):
+        # a grid GridSpec accepts, but 4 * 8e307 overflows the exponent of
+        # f's term at the tile centre: one error line, no NumPy warning
+        cfg = dict(CANONICAL, grid={"x": [5e307, 8e307, 5],
+                                    "t": [-1.0, 1.0, 3]})
+        proc = subprocess.run(
+            [sys.executable, "-m", "hirota_trace.cli", command,
+             "--config", write_cfg(tmp_path, cfg)],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: mode exponent outside double range on the grid x in "
+            "[5e+307, 8e+307], t in [-1, 1]\n")
+
     def test_determinism(self, canonical_path):
         runs = [subprocess.run(
             [sys.executable, "-m", "hirota_trace.cli", "residual",
              "--config", canonical_path], capture_output=True, text=True)
             for _ in range(2)]
         assert runs[0].stdout == runs[1].stdout
+
+
+def test_main_in_sequence_matches_fresh_processes(tmp_path, capsys):
+    # main keeps one parser for the process: calls in sequence, whose
+    # options and defaults differ, print what separate processes print
+    nls = dict(CANONICAL, medium={"rho": 1.0, "sigma": 0.0, "lambda": 8.0},
+               grid={"x": [-3.0, 3.0, 21], "t": [-0.5, 0.5, 5]},
+               options={"series_order": 6})
+    path = write_cfg(tmp_path, nls)
+    parser = _build_parser()
+    built = _build_parser.cache_info()
+    runs = [["series", "--config", path, "--point=-1,0", "--max-order", "3"],
+            ["series", "--config", path, "--point=-1,0"],
+            ["residual", "--config", path, "--equation", "nls"],
+            ["residual", "--config", path],
+            ["identity"],
+            ["identity", "--n-max", "2", "--seed", "5"],
+            ["identity"]]
+    for argv in runs:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "hirota_trace.cli", *argv],
+            capture_output=True, text=True)
+        assert main(argv) == fresh.returncode == 0, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (fresh.stdout, fresh.stderr)
+    after = _build_parser.cache_info()
+    assert after.misses == built.misses
+    assert after.hits == built.hits + len(runs)
+    assert _build_parser() is parser

@@ -176,6 +176,28 @@ class TestIdentities:
         report = run_identity_suite(n_max=3, trials=20, seed=1)
         assert report.ok and report.checks == 2 * 3 * 20
 
+    def test_suite_draws(self, monkeypatch):
+        # every denominator nonzero, all 18 nonzero values and all 19
+        # numerators drawn, one draw per component of every tuple
+        parts = []
+        scaled = identities._scaled
+
+        def spy(draw):
+            parts.append(draw)
+            return scaled(draw)
+
+        monkeypatch.setattr(identities, "_scaled", spy)
+        report = run_identity_suite(n_max=4, trials=50, seed=3)
+        assert report.ok and report.checks == 2 * 4 * 50
+        assert [len(d) for d in parts] == [2 * (2 * n + 1)
+                                          for n in range(1, 5)
+                                          for _ in range(50)]
+        nums = {num for d in parts for num, _ in d}
+        dens = {den for d in parts for _, den in d}
+        assert all(type(v) is int for v in nums | dens)
+        assert nums == set(range(-9, 10))
+        assert dens == set(range(-9, 10)) - {0}
+
 
 class TestCrossRepresentation:
     def test_canonical_third_order_value(self):

@@ -6,6 +6,7 @@ working memory."""
 
 import json
 import math
+import sys
 import tracemalloc
 from itertools import combinations
 
@@ -16,6 +17,7 @@ import pytest
 from hirota_trace import (
     CompiledSolution,
     EquationKind,
+    FieldOverflowError,
     GridSpec,
     Medium,
     SolitonSet,
@@ -294,6 +296,69 @@ class TestGatheredPointSets:
             tracemalloc.stop()
         assert peak <= 8 * 2 ** 20
 
+
+class TestCoordinateGuards:
+    """Non-finite coordinates are a ValueError, and finite ones whose
+    exponents overflow at a tile centre a FieldOverflowError, both raised
+    before any evaluation; RuntimeWarnings are errors in this suite."""
+
+    @pytest.mark.parametrize("axis", [[np.nan], [-1.0, np.inf],
+                                      [-np.inf, 1.0]],
+                             ids=["nan", "inf", "minus-inf"])
+    def test_non_finite_axis_value_is_rejected(self, axis):
+        engine = compiled(random_admissible_set(3, 7), MEDIUM)
+        x, t = np.array(axis)[:, None], np.array([0.0, 0.5])[None, :]
+        for xs, ts in ((x, t), (t.T, x.T)):
+            with pytest.raises(ValueError, match="must be finite"):
+                engine.derivatives(xs, ts, check_degenerate=False)
+            with pytest.raises(ValueError, match="must be finite"):
+                engine.psi(xs, ts)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "minus-inf"])
+    def test_non_finite_gathered_value_is_rejected(self, bad):
+        engine = compiled(random_admissible_set(3, 7), MEDIUM)
+        x, t = np.linspace(2.0, -2.0, 5), np.linspace(-1.0, 1.0, 5)
+        x[2] = bad
+        for xs, ts in ((x, t), (t, x)):
+            with pytest.raises(ValueError, match="must be finite"):
+                engine.derivatives(xs, ts, check_degenerate=False)
+            with pytest.raises(ValueError, match="must be finite"):
+                engine.psi(xs, ts)
+
+    def test_axes_route_checks_only_the_axes(self, monkeypatch):
+        checked = []
+        guard = trace_engine._require_finite
+
+        def spy(xs, ts):
+            checked.append(xs.size + ts.size)
+            return guard(xs, ts)
+
+        monkeypatch.setattr(trace_engine, "_require_finite", spy)
+        compiled(random_admissible_set(2, 7), MEDIUM).psi(
+            FULL_GRID.xs()[:, None], FULL_GRID.ts()[None, :])
+        assert checked == [401 + 201]
+
+    @pytest.mark.parametrize("x", [[5e307, 8e307], [-8e307, 1.0]])
+    def test_overflowing_tile_centre_is_field_overflow(self, x):
+        # |G| = 4 for the term of f with S = T = {1}
+        engine = compiled(SolitonSet.from_pairs([(1.0, math.sqrt(2.0))]),
+                          MEDIUM)
+        with pytest.raises(FieldOverflowError, match="outside double range"):
+            engine.psi(np.array(x), 0.0)
+
+    def test_largest_finite_centre_still_evaluates(self):
+        # past half the largest double the guard forms the exponent at the
+        # extreme tile centres: at 3/4 of the coordinate whose product with
+        # the largest rate overflows nothing is raised, at twice it the guard
+        # raises
+        engine = compiled(random_admissible_set(2, 3), MEDIUM)
+        edge = sys.float_info.max / engine._x_reach
+        engine.derivatives(np.array([0.0, 0.75 * edge]), 0.0,
+                           check_degenerate=False)
+        with pytest.raises(FieldOverflowError):
+            engine.derivatives(np.array([0.0, min(2 * edge, 8e307)]), 0.0,
+                               check_degenerate=False)
 
 #: a 7 x 5 tensor grid and three scattered points (one x axis per distinct t)
 ORDER_POINTS = {
