@@ -71,6 +71,22 @@ def _as_complex(v, where: str) -> complex:
     return complex(v[0], v[1])
 
 
+def _check_options(opts: dict) -> None:
+    """Raise ConfigError unless tolerance is a finite number >= 0,
+    series_order an integer >= 0 and seed an integer (bools rejected)."""
+    def is_int(v) -> bool:
+        return isinstance(v, int) and not isinstance(v, bool)
+
+    tol = opts["tolerance"]
+    if not ((is_int(tol) or isinstance(tol, float))
+            and 0 <= tol <= sys.float_info.max):
+        raise ConfigError("options.tolerance must be a finite number >= 0")
+    if not (is_int(opts["series_order"]) and opts["series_order"] >= 0):
+        raise ConfigError("options.series_order must be an integer >= 0")
+    if not is_int(opts["seed"]):
+        raise ConfigError("options.seed must be an integer")
+
+
 def parse_config(data: dict) -> RunConfig:
     """Build a RunConfig from parsed JSON, raising ConfigError on any flaw."""
     _expect_keys(data, {"medium", "solitons", "grid", "options"},
@@ -93,6 +109,7 @@ def parse_config(data: dict) -> RunConfig:
     if "options" in data:
         _expect_keys(data["options"], set(DEFAULT_OPTIONS), set(), "options")
         opts.update(data["options"])
+        _check_options(opts)
     try:
         medium = Medium(rho=float(med["rho"]), sigma=float(med["sigma"]),
                         lam=float(med["lambda"]))
@@ -108,8 +125,8 @@ def parse_config(data: dict) -> RunConfig:
                          nt=grid["t"][2])
         return RunConfig(medium=medium, solitons=sset, grid=gspec,
                          tolerance=float(opts["tolerance"]),
-                         series_order=int(opts["series_order"]),
-                         seed=int(opts["seed"]))
+                         series_order=opts["series_order"],
+                         seed=opts["seed"])
     except ConfigError:
         raise
     except (SolitonFieldError, ValueError, TypeError) as exc:

@@ -211,11 +211,6 @@ def _phis(sset: SolitonSet, medium: Medium, pt: SpaceTimePoint) -> np.ndarray:
     return np.array([phi(s, medium, pt) for s in sset.solitons], dtype=complex)
 
 
-def _omegas(sset: SolitonSet, medium: Medium) -> np.ndarray:
-    return np.array([dispersion(s.p, medium) for s in sset.solitons],
-                    dtype=complex)
-
-
 def build_B(sset: SolitonSet, medium: Medium, pt: SpaceTimePoint) -> np.ndarray:
     """Symmetric matrix B_mn = phi_m * phi_n / (p_m + p_n)."""
     p = sset.p

@@ -191,8 +191,9 @@ def run_identity_suite(n_max: int = 3, trials: int = 100,
 
     Components are random rationals with numerator drawn uniformly from
     [-9, 9] and denominator uniformly from its 18 nonzero values, for every
-    n up to n_max.  For each n, all the trials' numerators come from one
-    array draw and all their denominators from another, d + (d >= 0) of d
+    n up to n_max.  For each n, the trials are drawn in blocks of at most
+    1024, so memory stays bounded: a block's numerators come from one
+    array draw and its denominators from another, d + (d >= 0) of d
     uniform on [-9, 8].  Each tuple is scaled by the lcm of its
     denominators and checked over the Gaussian integers, as Python ints.
     """
@@ -201,16 +202,17 @@ def run_identity_suite(n_max: int = 3, trials: int = 100,
     rng = np.random.default_rng(seed)
     checks = failures = 0
     for n in range(1, n_max + 1):
-        size = (trials, 2 * (2 * n + 1))
-        nums = rng.integers(-9, 10, size=size).tolist()
-        d = rng.integers(-9, 9, size=size)
-        dens = (d + (d >= 0)).tolist()
-        for num, den in zip(nums, dens):
-            ks, _ = _scaled(list(zip(num, den)))
-            for lhs, rhs in _sides(ks):
-                checks += 1
-                if lhs != rhs:
-                    failures += 1
+        for start in range(0, trials, 1024):
+            size = (min(1024, trials - start), 2 * (2 * n + 1))
+            nums = rng.integers(-9, 10, size=size).tolist()
+            d = rng.integers(-9, 9, size=size)
+            dens = (d + (d >= 0)).tolist()
+            for num, den in zip(nums, dens):
+                ks, _ = _scaled(list(zip(num, den)))
+                for lhs, rhs in _sides(ks):
+                    checks += 1
+                    if lhs != rhs:
+                        failures += 1
     return IdentityReport(n_max=n_max, trials=trials, checks=checks,
                           failures=failures, seed=seed)
 

@@ -43,8 +43,7 @@ within TILE_SPREAD of s, so working memory grows with the output, not with
 terms by points.  Every other point set goes through the same tiles: it is
 evaluated on the unique sorted values of x and of t (as one grid, or one x
 axis per distinct t when that grid would have more cells than there are
-points) and gathered back.  The BLAS products run on one thread
-(_OneBlasThread), and the pass that sums f decides which points are
+points) and gathered back.  The pass that sums f decides which points are
 degenerate: those where the summation condition number
 kappa_f = sum_j |term_j| / |f| exceeds 1 / CANCEL_TOL.
 
@@ -54,13 +53,9 @@ derivatives, and therefore all residual checks.
 
 from __future__ import annotations
 
-import ctypes
 import math
-import os
 import sys
-import threading
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -79,64 +74,6 @@ CANCEL_TOL = 1e-12
 TILE_SPREAD = 128.0
 #: most points along one axis of a tile
 TILE_POINTS = 128
-
-
-def _openblas_thread_calls():
-    """(get, set) of the thread count of the OpenBLAS bundled with NumPy's
-    wheels, if NumPy has loaded it, else None."""
-    noload = getattr(os, "RTLD_NOLOAD", None)
-    root = Path(np.__file__).parent
-    libs = [*(root.parent / "numpy.libs").glob("*openblas*"),
-            *(root / ".dylibs").glob("*openblas*")]
-    for path in sorted(libs) if noload is not None else []:
-        try:
-            lib = ctypes.CDLL(str(path), mode=noload)
-        except OSError:
-            continue
-        for prefix in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
-                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-                if get and put:
-                    return get, put
-    return None
-
-
-class _OneBlasThread:
-    """Context in which NumPy's OpenBLAS runs on one thread.
-
-    The engine's products are small (a tile by a few hundred terms) and
-    follow each other closely.  With BLAS on both cores of a 2-core Xeon
-    VM, the throughput of residual_report on the 401x201 grid (N = 2..5)
-    was 22 % lower in the median and spread 25 % (interquartile range over
-    median) across eight processes, against 4 % on one thread.  The count
-    in force before the outermost entry is restored on exit; without
-    NumPy's bundled OpenBLAS this does nothing.
-    """
-
-    def __init__(self) -> None:
-        self._calls = _openblas_thread_calls()
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._saved = 0
-
-    def __enter__(self) -> None:
-        if self._calls:
-            with self._lock:
-                if not self._depth:
-                    self._saved = self._calls[0]()
-                    self._calls[1](1)
-                self._depth += 1
-
-    def __exit__(self, *exc) -> None:
-        if self._calls:
-            with self._lock:
-                self._depth -= 1
-                if not self._depth:
-                    self._calls[1](self._saved)
-
-
-_ONE_BLAS_THREAD = _OneBlasThread()
 
 
 def _cauchy_binet_terms(p: np.ndarray, coupling: float, excess: int
@@ -228,19 +165,13 @@ class _ExponentialSum:
             et = np.exp(np.multiply.outer(self.trate, dt))
             mag = np.exp(np.multiply.outer(self.trate.real, dt)) \
                 if abs_sum else None
-            # the derivative weights ride on the t side; the right operand
-            # of one real GEMM over 2 * terms: rows (Re, -Im) for f, and for
-            # g the row pair (w, i w) as reals, whose product columns are
-            # (Re, Im) of each complex sum
+            # the derivative weights ride on the t side
+            right = (weights[:, :, None] * et[:, None, :]).reshape(
+                len(et), len(orders) * len(dt))
             if self.real:
-                w = (weights[:, :, None] * et[:, None, :]).reshape(
-                    len(et), len(orders) * len(dt))
-                right = np.concatenate((w.real, -w.imag))
-            else:
-                w = (weights[:, None, :, None]
-                     * np.array([1, 1j])[:, None, None]) * et[:, None, None, :]
-                right = w.view(float).reshape(2 * len(et),
-                                              2 * len(orders) * len(dt))
+                # rows (Re, -Im) of one real GEMM over 2 * terms, whose
+                # product is the real part of the sum
+                right = np.concatenate((right.real, -right.imag))
             return tsl, tc, right, mag
 
         # one side is computed once and kept, the other once per tile row:
@@ -259,7 +190,7 @@ class _ExponentialSum:
             if self.real:
                 sums = np.concatenate((left.real, left.imag), axis=1) @ right
             else:
-                sums = (left.view(float) @ right).view(complex)
+                sums = left @ right
             sums = sums.reshape(len(left), len(orders), -1)
             jets = {o: sums[:, k] for k, o in enumerate(orders)}
             total = (xmag * np.abs(coef)) @ tmag if abs_sum else None
@@ -366,12 +297,15 @@ class CompiledSolution:
         self._f = _ExponentialSum(*_cauchy_binet_terms(p, c, 0), p, a0, om,
                                   real=True)
         self._g = _ExponentialSum(*_cauchy_binet_terms(p, c, 1), p, a0, om)
+        xrate = np.concatenate((self._f.xrate, self._g.xrate))
+        trate = np.concatenate((self._f.trate, self._g.trate))
         # the largest real or imaginary part of any term's x and t rates
-        f, g = self._f, self._g
-        self._x_reach = float(np.abs(np.concatenate(
-            (f.xrate, g.xrate)).view(float)).max(initial=0))
-        self._t_reach = float(np.abs(np.concatenate(
-            (f.trate, g.trate)).view(float)).max(initial=0))
+        self._x_reach = float(np.abs(xrate.view(float)).max(initial=0))
+        self._t_reach = float(np.abs(trate.view(float)).max(initial=0))
+        # the slopes of the log scale, which cut the tiles: the largest
+        # |Re G| and |Re H| of any term
+        self._x_slope = float(np.abs(xrate.real).max(initial=0))
+        self._t_slope = float(np.abs(trate.real).max(initial=0))
 
     def psi(self, x, t, check_degenerate: bool = True) -> np.ndarray:
         """Field values on broadcastable real arrays x, t."""
@@ -429,42 +363,38 @@ class CompiledSolution:
         t = np.asarray(t, dtype=float)
         shape = np.broadcast(x, t).shape
         axes = _tensor_axes(x, t, shape)
-        with _ONE_BLAS_THREAD:
-            if axes is not None:
-                xs, ts, flip = axes
-                _require_finite(xs, ts)
-                return {k: v.T if flip else v.reshape(shape)
-                        for k, v in self._tiled(xs, ts, orders).items()}
-            # NumPy versions differ on the shape of the inverse
-            xs, xi = np.unique(x, return_inverse=True)
-            ts, ti = np.unique(t, return_inverse=True)
+        if axes is not None:
+            xs, ts, flip = axes
             _require_finite(xs, ts)
-            xi, ti = np.broadcast_arrays(xi.reshape(x.shape),
-                                         ti.reshape(t.shape))
-            if len(xs) * len(ts) <= xi.size:
-                return {k: v[xi, ti]
-                        for k, v in self._tiled(xs, ts, orders).items()}
-            # the distinct (x, t) cells in t-major order, in runs of one t
-            cells, inverse = np.unique(ti * len(xs) + xi, return_inverse=True)
-            ct, cx = np.divmod(cells, len(xs))
-            cuts = [0, *(np.flatnonzero(np.diff(ct)) + 1).tolist(), len(cells)]
-            out = {}
-            for run in map(slice, cuts[:-1], cuts[1:]):
-                part = self._tiled(xs[cx[run]], ts[ct[run][:1]], orders)
-                for k, v in part.items():
-                    out.setdefault(k, np.empty(len(cells), v.dtype))[run] = \
-                        v[:, 0]
-            return {k: v[inverse.reshape(shape)] for k, v in out.items()}
+            return {k: v.T if flip else v.reshape(shape)
+                    for k, v in self._tiled(xs, ts, orders).items()}
+        # NumPy versions differ on the shape of the inverse
+        xs, xi = np.unique(x, return_inverse=True)
+        ts, ti = np.unique(t, return_inverse=True)
+        _require_finite(xs, ts)
+        xi, ti = np.broadcast_arrays(xi.reshape(x.shape),
+                                     ti.reshape(t.shape))
+        if len(xs) * len(ts) <= xi.size:
+            return {k: v[xi, ti]
+                    for k, v in self._tiled(xs, ts, orders).items()}
+        # the distinct (x, t) cells in t-major order, in runs of one t
+        cells, inverse = np.unique(ti * len(xs) + xi, return_inverse=True)
+        ct, cx = np.divmod(cells, len(xs))
+        cuts = [0, *(np.flatnonzero(np.diff(ct)) + 1).tolist(), len(cells)]
+        out = {}
+        for run in map(slice, cuts[:-1], cuts[1:]):
+            part = self._tiled(xs[cx[run]], ts[ct[run][:1]], orders)
+            for k, v in part.items():
+                out.setdefault(k, np.empty(len(cells), v.dtype))[run] = \
+                    v[:, 0]
+        return {k: v[inverse.reshape(shape)] for k, v in out.items()}
 
     def _tile_slices(self, xs: np.ndarray, ts: np.ndarray
                      ) -> tuple[list, list]:
         """Tiles of the sorted axes xs and ts, cut by the slopes of the log
-        scale: the largest |Re G| and |Re H| of any term."""
-        sums = (self._f, self._g)
-        return (list(_tiles(xs, max(np.abs(s.xrate.real).max(initial=0)
-                                    for s in sums))),
-                list(_tiles(ts, max(np.abs(s.trate.real).max(initial=0)
-                                    for s in sums))))
+        scale."""
+        return (list(_tiles(xs, self._x_slope)),
+                list(_tiles(ts, self._t_slope)))
 
     def _check_range(self, xs: np.ndarray, ts: np.ndarray, x_tiles: list,
                      t_tiles: list) -> None:

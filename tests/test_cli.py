@@ -76,6 +76,35 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(data)
 
+    @pytest.mark.parametrize("flags", [["residual"],
+                                       ["field", "--dump-config"]])
+    @pytest.mark.parametrize("options, message", [
+        ({"tolerance": math.nan}, "tolerance must be a finite number >= 0"),
+        ({"tolerance": math.inf}, "tolerance must be a finite number >= 0"),
+        ({"tolerance": -1e-8}, "tolerance must be a finite number >= 0"),
+        ({"tolerance": 10 ** 400}, "tolerance must be a finite number >= 0"),
+        ({"tolerance": "1e-8"}, "tolerance must be a finite number >= 0"),
+        ({"tolerance": True}, "tolerance must be a finite number >= 0"),
+        ({"series_order": 2.7}, "series_order must be an integer >= 0"),
+        ({"series_order": -1}, "series_order must be an integer >= 0"),
+        ({"series_order": True}, "series_order must be an integer >= 0"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"seed": 1.0}, "seed must be an integer"),
+    ])
+    def test_invalid_options_are_config_errors(self, tmp_path, capsys, flags,
+                                               options, message):
+        cfg = dict(CANONICAL, options=options)
+        assert main([*flags, "--config", write_cfg(tmp_path, cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: options.{message}\n"
+
+    def test_edge_options_accepted(self):
+        cfg = parse_config(dict(CANONICAL, options={
+            "tolerance": 0, "series_order": 0, "seed": -3}))
+        assert (cfg.tolerance, cfg.series_order, cfg.seed) == (0.0, 0, -3)
+        assert type(cfg.tolerance) is float
+
     def test_unreadable_and_invalid_json(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "missing.json"))

@@ -2,6 +2,7 @@
 the multi-sum/trace cross-checks."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -124,6 +125,21 @@ class TestIdentities:
         assert report.failures == 0
         assert report.checks == 2 * 3 * 100
         assert report.ok
+
+    def test_suite_memory_is_bounded(self, monkeypatch):
+        # trials are drawn in blocks, so the peak does not grow with them;
+        # the exact kernel, whose temporaries are per tuple, is stubbed
+        # out: tracemalloc slows it tenfold
+        monkeypatch.setattr(identities, "_scaled", lambda draw: (draw, 1))
+        monkeypatch.setattr(identities, "_sides", lambda ks: ((0, 0),) * 2)
+        tracemalloc.start()
+        try:
+            report = run_identity_suite(n_max=3, trials=20_000, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok and report.checks == 2 * 3 * 20_000
+        assert peak <= 4 * 2 ** 20
 
     def test_suite_validation(self):
         with pytest.raises(ValueError):

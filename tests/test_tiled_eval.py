@@ -6,6 +6,8 @@ working memory."""
 
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from itertools import combinations
@@ -33,6 +35,7 @@ from hirota_trace.trace_engine import (
     _ALL_ORDERS,
     _ExponentialSum,
 )
+from test_cli import soliton_config
 from test_trace_engine import mpmath_psi
 
 MEDIUM = Medium(rho=1.0, sigma=1.0, lam=8.0)
@@ -541,31 +544,34 @@ def test_residual_report_memory_is_bounded():
     assert peak <= 64 * 2 ** 20
 
 
-def test_blas_runs_on_one_thread_and_count_is_restored(monkeypatch):
-    calls = trace_engine._ONE_BLAS_THREAD._calls
-    if calls is None:
-        pytest.skip("NumPy's bundled OpenBLAS is not loaded")
-    get, put = calls
-    before = get()
-    put(2)
-    seen = []
-    tiled = CompiledSolution._tiled
+def _field_and_residual(cfg_path, out_path, blas_threads):
+    """``field`` rows and the ``residual`` report of one process whose
+    OpenBLAS runs on ``blas_threads`` threads."""
+    script = ("import sys\n"
+              "from hirota_trace.cli import main\n"
+              "assert main(['field', '--config', sys.argv[1],"
+              " '--out', sys.argv[2]]) == 0\n"
+              "assert main(['residual', '--config', sys.argv[1]]) == 0\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, cfg_path, out_path],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads)))
+    rows = np.loadtxt(out_path, delimiter=",", skiprows=1)
+    return rows, json.loads(proc.stdout)
 
-    def spy(self, xs, ts, orders):
-        seen.append(get())
-        if len(seen) > 1:
-            raise ValueError("stop")
-        return tiled(self, xs, ts, orders)
 
-    try:
-        monkeypatch.setattr(CompiledSolution, "_tiled", spy)
-        engine = CompiledSolution(SEPARATED, MEDIUM)
-        xs = np.linspace(-10.0, 10.0, 41)
-        engine.derivatives(xs[:, None], xs[None, :])
-        assert get() == 2
-        with pytest.raises(ValueError):
-            engine.derivatives(xs[:, None], xs[None, :])
-        assert get() == 2
-        assert seen == [1, 1]
-    finally:
-        put(before)
+def test_blas_thread_count_moves_results_by_last_ulps_only(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(soliton_config(5, 105, x=(-20.0, 20.0, 401),
+                                             t=(-5.0, 5.0, 201))))
+    one, rep1 = _field_and_residual(str(cfg), str(tmp_path / "one.csv"), 1)
+    two, rep2 = _field_and_residual(str(cfg), str(tmp_path / "two.csv"), 2)
+    assert len(one) == 401 * 201 - rep1["n_degenerate"]
+    np.testing.assert_array_equal(one[:, :2], two[:, :2])
+    psi1 = one[:, 2] + 1j * one[:, 3]
+    psi2 = two[:, 2] + 1j * two[:, 3]
+    assert np.all(np.abs(psi1 - psi2) <= 1e-14 * np.maximum(1, np.abs(psi1)))
+    for key in ("passed", "n_points", "n_degenerate", "worst_point"):
+        assert rep1[key] == rep2[key]
+    assert abs(rep1["max_abs"] - rep2["max_abs"]) \
+        <= 1e-12 * max(1, rep1["normalizer"])
