@@ -374,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
     with_config(p, required=False)
     p.add_argument("--n-max", type=int, default=3)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("collide", help="two-soliton elasticity metrics")
     with_config(p)
@@ -401,7 +401,10 @@ def main(argv: list[str] | None = None) -> int:
                 order = cfg.series_order
             return cmd_series(cfg, args.point, order)
         if args.command == "identity":
-            return cmd_identity(args.n_max, args.trials, args.seed)
+            seed = args.seed
+            if seed is None:
+                seed = cfg.seed if cfg else DEFAULT_OPTIONS["seed"]
+            return cmd_identity(args.n_max, args.trials, seed)
         return cmd_collide(cfg, args.t_far)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -214,21 +214,16 @@ def _phis(sset: SolitonSet, medium: Medium, pt: SpaceTimePoint) -> np.ndarray:
 def build_B(sset: SolitonSet, medium: Medium, pt: SpaceTimePoint) -> np.ndarray:
     """Symmetric matrix B_mn = phi_m * phi_n / (p_m + p_n)."""
     p = sset.p
-    denom = p[:, None] + p[None, :]
-    if len(sset) and np.abs(denom).min() < DENOM_TOL:
-        raise SingularDenominatorError("p_m + p_n below tolerance")
     ph = _phis(sset, medium, pt)
-    return np.outer(ph, ph) / denom if len(sset) else np.zeros((0, 0), complex)
+    return np.outer(ph, ph) / (p[:, None] + p[None, :])
 
 
 def _pair_denominators(sset: SolitonSet) -> tuple[np.ndarray, float]:
-    """The denominators p_m + conj(p_n) of D and their least modulus."""
+    """The denominators p_m + conj(p_n) of D and their least modulus,
+    which SolitonSet keeps at least DENOM_TOL."""
     p = sset.p
     denom = p[:, None] + p.conj()[None, :]
-    dmin = float(np.abs(denom).min())
-    if dmin < DENOM_TOL:
-        raise SingularDenominatorError("p_m + conj(p_n) below tolerance")
-    return denom, dmin
+    return denom, float(np.abs(denom).min())
 
 
 def _bounded_phis(sset: SolitonSet, medium: Medium, pt: SpaceTimePoint,

@@ -6,9 +6,9 @@ The residual of the full third-order equation
     i psi_t + 3i alpha |psi|^2 psi_x + rho psi_xx + i sigma psi_xxx
         + delta |psi|^2 psi = 0
 
-is evaluated from analytic derivatives; setting sigma = 0 yields the
-cubic Schroedinger reduction and rho = 0 (with real parameters) the
-modified KdV reduction.
+is evaluated from analytic derivatives for every EquationKind: with
+sigma = 0 it is the cubic Schroedinger residual, and with rho = 0 (real
+parameters) i times the real-form modified KdV residual.
 """
 
 from __future__ import annotations
@@ -52,7 +52,13 @@ class EquationKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Grid-wide residual statistics; normalizer is max |psi| over the grid."""
+    """Grid-wide residual statistics; normalizer is max |psi| over the grid.
+
+    worst_point is where |residual| peaks: near max_rel ~ 1e-13 that is
+    round-off noise, so it can move under last-ulp changes of psi (another
+    BLAS thread count or NumPy build), and so does the order estimate that
+    the CLI's --fd-check reads there.
+    """
 
     max_abs: float
     rms: float
@@ -79,28 +85,24 @@ class CollisionMetrics:
                    for a, b in zip(self.peaks_after, self.peaks_before))
 
 
-def _residual_arrays(kind: EquationKind, medium: Medium, d: dict) -> np.ndarray:
+def _residual_arrays(medium: Medium, d: dict) -> np.ndarray:
+    """The Hirota residual (module docstring) of a derivative bundle."""
     psi = d["psi"]
     absq = np.abs(psi) ** 2
-    if kind is EquationKind.HIROTA:
-        return (1j * d["psi_t"] + 3j * medium.alpha * absq * d["psi_x"]
-                + medium.rho * d["psi_xx"] + 1j * medium.sigma * d["psi_xxx"]
-                + medium.delta * absq * psi)
-    if kind is EquationKind.NLS:
-        return (1j * d["psi_t"] + medium.rho * d["psi_xx"]
-                + medium.delta * absq * psi)
-    # real-form third-order reduction
-    return (d["psi_t"] + 3 * medium.alpha * absq * d["psi_x"]
-            + medium.sigma * d["psi_xxx"])
+    return (1j * d["psi_t"] + 3j * medium.alpha * absq * d["psi_x"]
+            + medium.rho * d["psi_xx"] + 1j * medium.sigma * d["psi_xxx"]
+            + medium.delta * absq * psi)
 
 
 def residual_at(kind: EquationKind, sset: SolitonSet, medium: Medium,
                 pt: SpaceTimePoint) -> complex:
-    """Left-hand side of the selected equation at one point."""
+    """Left-hand side of the selected equation at one point; mKdV in its
+    real form, -i times the Hirota residual."""
     kind.check_medium(medium)
     d = analytic_derivatives_grid(sset, medium,
                                   np.asarray(pt.x), np.asarray(pt.t))
-    return complex(_residual_arrays(kind, medium, d))
+    value = complex(_residual_arrays(medium, d))
+    return -1j * value if kind is EquationKind.MKDV else value
 
 
 def residual_report(kind: EquationKind, sset: SolitonSet, medium: Medium,
@@ -116,7 +118,7 @@ def residual_report(kind: EquationKind, sset: SolitonSet, medium: Medium,
     d = analytic_derivatives_grid(sset, medium, xs[:, None], ts[None, :],
                                   check_degenerate=False)
     bad = d["degenerate"]
-    res = np.abs(_residual_arrays(kind, medium, d))
+    res = np.abs(_residual_arrays(medium, d))
     good = ~bad
     n_good = int(np.count_nonzero(good))
     if n_good == 0:
@@ -151,6 +153,15 @@ def additivity_instance(sset: SolitonSet, lam: float, rho0: float,
     return residual_report(EquationKind.HIROTA, sset, medium, grid)
 
 
+def _resonance_denominator(lp: DispersionPoly, moms: list[complex]) -> complex:
+    """L_p(2*sum q) - sum_q L_p(2 q), raising ResonanceError when its
+    modulus falls below RESONANCE_TOL."""
+    denom = lp(2 * sum(moms)) - sum(lp(2 * q) for q in moms)
+    if abs(denom) < RESONANCE_TOL:
+        raise ResonanceError(f"dispersion denominator {denom} ~ 0")
+    return denom
+
+
 def pi_ratio(c_n: complex, momenta: list[complex],
              lp: DispersionPoly) -> complex:
     """c_n / [L_p(2*sum p_j) - sum_j L_p(2 p_j)].
@@ -159,11 +170,7 @@ def pi_ratio(c_n: complex, momenta: list[complex],
     applies the same symbol to every slot.  Raises ResonanceError when the
     denominator magnitude falls below 1e-12.
     """
-    total = sum(momenta)
-    denom = lp(2 * total) - sum(lp(2 * q) for q in momenta)
-    if abs(denom) < RESONANCE_TOL:
-        raise ResonanceError(f"dispersion denominator {denom} ~ 0")
-    return c_n / denom
+    return c_n / _resonance_denominator(lp, momenta)
 
 
 def scaling_invariance_check(sset: SolitonSet, lam: float, rho0: float,
@@ -189,21 +196,14 @@ def scaling_invariance_check(sset: SolitonSet, lam: float, rho0: float,
         q = rng.uniform(0.3, 1.5, 3) + 1j * rng.uniform(-1.0, 1.0, 3)
         return [q[0], q[1].conjugate(), q[2]]
 
-    def denom(lp: DispersionPoly, moms: list[complex]) -> complex:
-        total = sum(moms)
-        d = lp(2 * total) - sum(lp(2 * q) for q in moms)
-        if abs(d) < RESONANCE_TOL:
-            raise ResonanceError("degenerate draw")
-        return d
-
     for _ in range(trials):
         for _attempt in range(10):
             moms = draw()
             try:
                 target = (-lam / 8) / ((moms[0] + moms[1])
                                        * (moms[1] + moms[2]))
-                d1 = denom(lp1, moms) if a != 0 else 0j
-                d2 = denom(lp2, moms) if b != 0 else 0j
+                d1 = _resonance_denominator(lp1, moms) if a != 0 else 0j
+                d2 = _resonance_denominator(lp2, moms) if b != 0 else 0j
                 c_star = target * (a * d1 + b * d2)
                 got = pi_ratio(c_star, moms, lp_star)
             except ResonanceError:

@@ -1,6 +1,7 @@
 """Tests for analytic derivatives and the finite-difference oracle."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from hirota_trace.calculus import (
     STENCIL_D2,
     STENCIL_D3,
     DerivativeBundle,
-    Stencil,
 )
 
 MEDIUM = Medium(rho=1.0, sigma=1.0, lam=8.0)
@@ -47,13 +47,31 @@ class TestStencil:
         val = STENCIL_D2.apply(samples, h)
         assert val == pytest.approx(1.0, abs=1e-10)
 
-    def test_rejects_even_point_count(self):
-        with pytest.raises(ValueError):
-            Stencil.central(1, 4)
+    @pytest.mark.parametrize("stencil,numerators,divisor", [
+        (STENCIL_D1, (1, -8, 0, 8, -1), 12),
+        (STENCIL_D2, (-1, 16, -30, 16, -1), 12),
+        (STENCIL_D3, (1, -8, 13, 0, -13, 8, -1), 8)])
+    def test_weights_are_rationals_rounded_once(self, stencil, numerators,
+                                                divisor):
+        assert stencil.weights == tuple(float(Fraction(n, divisor))
+                                        for n in numerators)
+        half = len(numerators) // 2
+        assert stencil.offsets == tuple(range(-half, half + 1))
 
-    def test_rejects_too_short(self):
-        with pytest.raises(ValueError):
-            Stencil.central(3, 3)
+    def test_odd_derivative_centre_weights_are_zero(self):
+        assert STENCIL_D1.weights[2] == 0.0
+        assert STENCIL_D3.weights[3] == 0.0
+
+    @pytest.mark.parametrize("stencil", [STENCIL_D1, STENCIL_D2, STENCIL_D3])
+    def test_moment_conditions(self, stencil):
+        # exact over the rationals: sum_k w_k o_k^j = d! [j == d] for
+        # j < d + order, the monomials a 4th-order stencil differentiates
+        # exactly
+        for j in range(stencil.derivative + stencil.order):
+            moment = sum(Fraction(w) * o ** j for w, o
+                         in zip(stencil.weights, stencil.offsets))
+            want = math.factorial(j) if j == stencil.derivative else 0
+            assert abs(moment - want) < 1e-14, (j, float(moment))
 
 
 class TestAnalyticDerivatives:

@@ -414,6 +414,21 @@ class TestIdentityCommand:
             "}\n")
         assert captured.err == ""
 
+    @pytest.mark.parametrize("options,flags,seed", [
+        ({"seed": 7}, [], 7), ({"seed": 7}, ["--seed", "3"], 3),
+        ({}, [], 42)])
+    def test_seed_from_config(self, tmp_path, capsys, options, flags, seed):
+        # options.seed applies unless --seed is given, as options.series_order
+        # does for series unless --max-order is
+        path = write_cfg(tmp_path, dict(CANONICAL, options=options))
+        assert main(["identity", "--n-max", "2", "--trials", "5",
+                     "--config", path, *flags]) == 0
+        got = capsys.readouterr().out
+        assert main(["identity", "--n-max", "2", "--trials", "5",
+                     "--seed", str(seed)]) == 0
+        assert got == capsys.readouterr().out
+        assert json.loads(got)["seed"] == seed
+
     def test_zero_n_max_is_error(self, capsys):
         assert main(["identity", "--n-max", "0"]) == 1
         captured = capsys.readouterr()

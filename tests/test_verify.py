@@ -1,23 +1,27 @@
 """Tests for residual reports, limit reductions, invariance checks, and
 collision elasticity."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from hirota_trace import verify
 from hirota_trace import (
     DispersionPoly,
     EmptyReportError,
     EquationKind,
     GridSpec,
     Medium,
+    ResidualReport,
     ResonanceError,
     Soliton,
     SolitonSet,
     SpaceTimePoint,
     UnseparatedEnvelopesError,
     additivity_instance,
+    analytic_derivatives_grid,
     collision_metrics,
     group_velocity,
     pi_ratio,
@@ -50,6 +54,52 @@ class TestResidualAt:
         with pytest.raises(ValueError):
             residual_at(EquationKind.MKDV, CANON, MEDIUM,
                         SpaceTimePoint(0.0, 0.0))
+
+
+def typed_residual(kind, medium, d):
+    """The three residuals as once typed one by one: the reference for the
+    single Hirota expression behind residual_at and residual_report."""
+    psi = d["psi"]
+    absq = np.abs(psi) ** 2
+    if kind is EquationKind.HIROTA:
+        return (1j * d["psi_t"] + 3j * medium.alpha * absq * d["psi_x"]
+                + medium.rho * d["psi_xx"] + 1j * medium.sigma * d["psi_xxx"]
+                + medium.delta * absq * psi)
+    if kind is EquationKind.NLS:
+        return (1j * d["psi_t"] + medium.rho * d["psi_xx"]
+                + medium.delta * absq * psi)
+    # real-form third-order reduction
+    return (d["psi_t"] + 3 * medium.alpha * absq * d["psi_x"]
+            + medium.sigma * d["psi_xxx"])
+
+
+class TestOneResidual:
+    GRID = GridSpec(-10.0, 10.0, 201, -2.0, 2.0, 41)
+    POINTS = [SpaceTimePoint(0.0, 0.0), SpaceTimePoint(-1.3, 0.7),
+              SpaceTimePoint(2.9, -1.6)]
+
+    @pytest.mark.parametrize("n", range(6))
+    @pytest.mark.parametrize("kind,medium", [
+        (EquationKind.HIROTA, MEDIUM),
+        (EquationKind.HIROTA, Medium(rho=0.6, sigma=0.3, lam=2.0)),
+        (EquationKind.NLS, Medium(rho=1.0, sigma=0.0, lam=8.0)),
+        (EquationKind.NLS, Medium(rho=0.7, sigma=0.0, lam=2.0)),
+        (EquationKind.MKDV, Medium(rho=0.0, sigma=1.0, lam=8.0)),
+        (EquationKind.MKDV, Medium(rho=0.0, sigma=1.3, lam=4.0))])
+    def test_equals_typed_form(self, monkeypatch, kind, medium, n):
+        sset = random_admissible_set(n, 60 + n)
+        for pt in self.POINTS:
+            d = analytic_derivatives_grid(sset, medium, np.asarray(pt.x),
+                                          np.asarray(pt.t))
+            assert residual_at(kind, sset, medium, pt) == complex(
+                typed_residual(kind, medium, d))
+        got = residual_report(kind, sset, medium, self.GRID)
+        monkeypatch.setattr(verify, "_residual_arrays",
+                            lambda medium, d: typed_residual(kind, medium, d))
+        want = residual_report(kind, sset, medium, self.GRID)
+        for field in dataclasses.fields(ResidualReport):
+            assert (getattr(got, field.name)
+                    == getattr(want, field.name)), field.name
 
 
 class TestResidualReport:
