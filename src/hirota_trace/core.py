@@ -360,9 +360,10 @@ def spectral_radius_q(sset: SolitonSet, medium: Medium,
 
 
 def one_soliton_envelope_shift(s: Soliton, medium: Medium) -> float:
-    """Envelope offset eta = (1/2) ln(lam |a0|^4 / (8 (p + conj(p))^2))."""
-    two_rep = 2.0 * s.p.real
-    return 0.5 * math.log(medium.lam * abs(s.a0) ** 4 / (8.0 * two_rep ** 2))
+    """Envelope offset eta = (1/2) ln(lam |a0|^4 / (8 (p + conj(p))^2)),
+    taken as a sum of logs, so that it is finite for every admissible a0."""
+    return 0.5 * (math.log(medium.lam / 8) + 4 * math.log(abs(s.a0))
+                  - 2 * math.log(2 * s.p.real))
 
 
 def one_soliton_closed(s: Soliton, medium: Medium, pt: SpaceTimePoint) -> complex:
@@ -376,7 +377,9 @@ def one_soliton_closed(s: Soliton, medium: Medium, pt: SpaceTimePoint) -> comple
     with xi = (p + conj(p)) x - (Om + conj(Om)) t and eta as above.  The
     carrier exponential does NOT carry the extra exp(-eta) factor that a
     naive reading of the sech formula might suggest; the committed form is
-    the one that agrees with eval_psi_closed identically.
+    the one that agrees with eval_psi_closed identically.  The amplitude
+    (a0**2 / 2) * exp(-eta) is formed as (a0 / |a0|)**2 sqrt(8 / lam) Re p,
+    which stays in double range for every admissible a0.
     """
     return complex(_one_soliton_values(s, medium,
                                        np.asarray(pt.x), np.asarray(pt.t)))
@@ -391,4 +394,5 @@ def _one_soliton_values(s: Soliton, medium: Medium,
     carrier = np.exp((s.p - s.p.conjugate()) * x - (om - om.conjugate()) * t)
     with np.errstate(over="ignore"):
         env = 1.0 / np.cosh(xi + eta)
-    return (s.a0 ** 2 / 2.0) * math.exp(-eta) * env * carrier
+    amplitude = (s.a0 / abs(s.a0)) ** 2 * math.sqrt(8 / medium.lam) * s.p.real
+    return amplitude * env * carrier

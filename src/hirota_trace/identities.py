@@ -225,18 +225,11 @@ def psi3_crosscheck(sset: SolitonSet, medium: Medium,
                     pt: SpaceTimePoint) -> tuple[complex, complex]:
     """Third-order term computed two independent ways.
 
-    Returns (direct, trace): the explicit triple sum over mode indices,
-    and -(lam/8) tr[B_x D conj(D)] built from the assembled matrices.
+    Returns (direct, trace): the triple sum over mode indices (_psi_term
+    at n = 1), and -(lam/8) tr[B_x D conj(D)] built from the assembled
+    matrices.
     """
-    n = len(sset)
-    p = sset.p
-    ph = np.array([phi(s, medium, pt) for s in sset.solitons], dtype=complex)
-    direct = 0j
-    for l1, l2, l3 in itertools.product(range(n), repeat=3):
-        denom = (p[l1] + p[l2].conjugate()) * (p[l2].conjugate() + p[l3])
-        direct += (ph[l1] ** 2 * ph[l2].conjugate() ** 2 * ph[l3] ** 2
-                   / denom)
-    direct *= -(medium.lam / 8)
+    direct = _psi_term(sset, medium, pt, 1)
     Bx = build_Bx(sset, medium, pt)
     D = build_D(sset, medium, pt)
     trace = -(medium.lam / 8) * complex(np.trace(Bx @ D @ D.conj()))

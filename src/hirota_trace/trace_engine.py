@@ -3,29 +3,30 @@
 The closed field psi = tr[B_x M^{-1}], M = I + (lam/8) D conj(D), equals a
 ratio of two finite exponential sums,
 
-    psi = g / f,   f = det(M),   g = det(M) * tr[B_x M^{-1}],
+    psi = g / f,   f = det(M),   g = det(M) * tr[B_x M^{-1}].
 
-whose terms are constant coefficients times exp(G x - H t) with mode-sum
-growth rates G, H.  With z_k = phi_k^2, w_k = conj(phi_k)^2, c = lam/8 and
-the Hermitian Cauchy matrix A_mn = 1/(p_m + conj(p_n)), the Cauchy-Binet
-formula gives every coefficient in closed form:
+With z_k = phi_k^2, w_k = conj(phi_k)^2, c = lam/8 and the Hermitian Cauchy
+matrix A_mn = 1/(p_m + conj(p_n)), the Cauchy-Binet formula gives
 
     f = sum_{|S| = |T|}     c^|T| det(A[S,T])^2         z^S w^T,
     g = sum_{|S| = |T| + 1} c^|T| det([A[S,T] | 1])^2   z^S w^T,
 
-(squares because conj(A[T,S]) = A[S,T]^T).  Both minors are Cauchy
-determinants, the second bordered by a column of ones, so each squared
-minor is the product
+(squares because conj(A[T,S]) = A[S,T]^T).  Each term is kept as one
+exponent, log gamma + sum_S log z_k + sum_T log w_k = log Gamma + G x - H t,
+with log z_k = 2 log a0_k + 2 p_k x - 2 Omega_k t and log w_k its conjugate,
+so no coefficient (a0^4 or c^|T| may leave double range) is formed as a
+double.  Both minors are Cauchy determinants, the second bordered by a
+column of ones, so log gamma is |T| log c plus twice the sum of the logs of
 
-    prod_{i<j in S} (p_j - p_i)^2  prod_{i<j in T} conj(p_j - p_i)^2
-        prod_{i in S, j in T} A_ij^2,
+    prod_{i<j in S} (p_j - p_i)  prod_{i<j in T} conj(p_j - p_i)
+        prod_{i in S, j in T} A_ij,
 
-which carries a relative error of a few ulps per factor and no cancellation,
-even for near-coincident p (a repeated p gives an exactly zero coefficient).
-The term (T, S) of f is the complex conjugate of the term (S, T), so f is
-real and is stored as the half-sum over S <= T (subsets ordered by their
-bit index) with weight 2 off the diagonal, of which only the real part is
-taken.  The resulting evaluator is
+each a few ulps from exact, even for near-coincident p.  A repeated p makes
+a difference factor exactly 0, so the pairs whose S or T holds both copies
+are left out.  The term (T, S) of f is the complex conjugate of the term
+(S, T), so f is real and is stored as the half-sum over S <= T (subsets
+ordered by their bit index) with weight 2 off the diagonal, of which only
+the real part is taken.  The resulting evaluator is
 
   * exact (same analytic object as the dense solve),
   * stable everywhere after factoring out a log scale s, while the dense
@@ -35,17 +36,19 @@ taken.  The resulting evaluator is
 
 On a tensor grid (x and t ascending along different axes) each term
 splits as exp(G_j x) times exp(-H_j t).  The grid is cut into tiles; each
-tile takes s from its centre (x_c, t_c), computes exp(G_j (x - x_c)) over
-terms by tile-x and exp(-H_j (t - t_c)) over terms by tile-t, and forms all
-requested jets in one BLAS product, with the derivative weights G^i H^l on
-the small t-side factor.  The tile extents keep the scale inside a tile
-within TILE_SPREAD of s, so working memory grows with the output, not with
-terms by points.  Every other point set goes through the same tiles: it is
-evaluated on the unique sorted values of x and of t (as one grid, or one x
-axis per distinct t when that grid would have more cells than there are
-points) and gathered back.  The pass that sums f decides which points are
-degenerate: those where the summation condition number
-kappa_f = sum_j |term_j| / |f| exceeds 1 / CANCEL_TOL.
+tile takes s, the log of its largest term, at its centre (x_c, t_c),
+computes exp(log Gamma_j + G_j x_c - H_j t_c - s) over terms (real part at
+most 0, so it cannot overflow), exp(G_j (x - x_c)) over terms by tile-x and
+exp(-H_j (t - t_c)) over terms by tile-t, and forms all requested jets in
+one BLAS product, with the derivative weights G^i H^l on the small t-side
+factor.  The tile extents keep the scale inside a tile within TILE_SPREAD
+of s, so working memory grows with the output, not with terms by points.
+Every other point set goes through the same tiles: it is evaluated on the
+unique sorted values of x and of t (as one grid, or one x axis per distinct
+t when that grid would have more cells than there are points) and gathered
+back.  The pass that sums f decides which points are degenerate: those
+where the summation condition number kappa_f = sum_j |term_j| / |f|
+exceeds 1 / CANCEL_TOL.
 
 This module is the evaluation engine behind grid fields, analytic
 derivatives, and therefore all residual checks.
@@ -78,61 +81,57 @@ TILE_POINTS = 128
 
 def _cauchy_binet_terms(p: np.ndarray, coupling: float, excess: int
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Monomials and coefficients of f (``excess`` 0) or g (``excess`` 1).
+    """Monomials and coefficient logs of f (``excess`` 0) or g (``excess`` 1).
 
     Returns boolean membership rows a (set S, variables z) and b (set T,
-    variables w), one per pair with |S| = |T| + excess, and the complex
-    coefficients c^|T| det(A[S,T])^2 (bordered by ones when excess is 1).
-    For f only the pairs with S <= T by bit index are kept, those with
-    S != T at twice their coefficient, so that f is the real part of the sum.
+    variables w), one per pair with |S| = |T| + excess and no repeated p in
+    S or in T, and the complex logs of the coefficients c^|T| det(A[S,T])^2
+    (bordered by ones when excess is 1).  For f only the pairs with S <= T
+    by bit index are kept, those with S != T at twice their coefficient, so
+    that f is the real part of the sum.
     """
     n = len(p)
     index = np.arange(1 << n)
     members = ((index[:, None] >> np.arange(n)) & 1).astype(bool)
     size = members.sum(axis=1)
-    # squared Vandermonde factor of each subset
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    pairs = members[:, :, None] & members[:, None, :] & upper
-    vdm = np.prod(np.where(pairs, (p[None, :] - p[:, None]) ** 2, 1),
-                  axis=(1, 2))
-    match = size[:, None] == size[None, :] + excess
+    # log Vandermonde factor of each subset, -inf where it holds a repeated p
+    i, j = np.triu_indices(n, 1)
+    with np.errstate(divide="ignore"):
+        log_diff = np.log(p[j] - p[i])
+    vdm = np.where(members[:, i] & members[:, j], log_diff, 0).sum(axis=1)
+    distinct = np.isfinite(vdm)
+    match = (size[:, None] == size[None, :] + excess) \
+        & distinct[:, None] & distinct
     s_idx, t_idx = np.nonzero(match if excess
                               else match & (index[:, None] <= index))
     a = members[s_idx]
     b = members[t_idx]
-    cross = a[:, :, None] & b[:, None, :]
-    cauchy_sq = (1 / (p[:, None] + p.conj()[None, :])) ** 2
-    coef = (coupling ** size[t_idx] * vdm[s_idx] * vdm[t_idx].conj()
-            * np.prod(np.where(cross, cauchy_sq, 1), axis=(1, 2)))
+    log_cauchy = np.log(p[:, None] + p.conj()[None, :])
+    log_minor = (vdm[s_idx] + vdm[t_idx].conj()
+                 - ((a @ log_cauchy) * b).sum(axis=1))
+    log_gamma = size[t_idx] * math.log(coupling) + 2 * log_minor
     if not excess:
-        coef *= 2 - (s_idx == t_idx)
-    return a, b, coef
+        log_gamma += math.log(2) * (s_idx != t_idx)
+    return a, b, log_gamma
 
 
 class _ExponentialSum:
-    """Finite sum  sum_j Gamma_j exp(G_j x - ... )  with scaled evaluation.
+    """Finite sum  sum_j exp(log_coef_j + G_j x - H_j t)  with scaled
+    evaluation.
 
-    With ``real`` set the sum is the weighted half-sum of a real function
-    (see _cauchy_binet_terms) and every jet is its real part.
+    ``modes`` holds the row (2 log a0_k, 2 p_k, -2 Omega_k) of each mode.  A
+    term's row, the sum of its S rows plus the conjugate sum of its T rows,
+    holds the amplitude part of its log-coefficient (log_gamma is the rest),
+    its x rate G and its t rate -H.  With ``real`` set the sum is the
+    weighted half-sum of a real function (see _cauchy_binet_terms) and every
+    jet is its real part.
     """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, gamma: np.ndarray,
-                 p: np.ndarray, a0: np.ndarray, om: np.ndarray,
-                 real: bool = False) -> None:
-        coef = (gamma
-                * np.prod(np.where(a, a0 ** 2, 1), axis=1)
-                * np.prod(np.where(b, a0.conj() ** 2, 1), axis=1))
-        # a repeated p makes a Vandermonde factor, hence the term, exactly 0
-        keep = coef != 0
-        a, b = a[keep], b[keep]
+    def __init__(self, a: np.ndarray, b: np.ndarray, log_gamma: np.ndarray,
+                 modes: np.ndarray, real: bool = False) -> None:
         self.real = real
-        self.coef = coef[keep]
-        self.xrate = 2 * (a @ p + b @ p.conj())
-        self.trate = -2 * (a @ om + b @ om.conj())
-        # the scale is the largest single term, so a weight-2 pair counts once
-        self.log_coef = np.log(np.abs(self.coef))
-        if real:
-            self.log_coef -= np.log(2) * (a != b).any(axis=1)
+        log_a0, self.xrate, self.trate = (a @ modes + b @ modes.conj()).T
+        self.log_coef = log_gamma + log_a0
 
     def _weights(self, orders: list[tuple[int, int]]) -> np.ndarray:
         """Derivative weights G^i H^l, terms by orders."""
@@ -184,8 +183,9 @@ class _ExponentialSum:
             pairs = ((x, t) for x in map(x_side, x_tiles) for t in tf)
         for (xsl, xc, left, xmag), (tsl, tc, right, tmag) in pairs:
             centre = self.xrate * xc + self.trate * tc
-            s = float(np.max(centre.real + self.log_coef, initial=-np.inf))
-            coef = self.coef * np.exp(centre - s)
+            s = float(np.max(centre.real + self.log_coef.real,
+                             initial=-np.inf))
+            coef = np.exp(centre - s + self.log_coef)
             left = left * coef
             if self.real:
                 sums = np.concatenate((left.real, left.imag), axis=1) @ right
@@ -291,12 +291,12 @@ class CompiledSolution:
     def __init__(self, sset: SolitonSet, medium: Medium) -> None:
         self.n = len(sset)
         p = sset.p
-        a0 = sset.a0
         om = np.array([dispersion(pk, medium) for pk in p], dtype=complex)
+        modes = np.stack((2 * np.log(sset.a0), 2 * p, -2 * om), axis=1)
         c = medium.lam / 8
-        self._f = _ExponentialSum(*_cauchy_binet_terms(p, c, 0), p, a0, om,
+        self._f = _ExponentialSum(*_cauchy_binet_terms(p, c, 0), modes,
                                   real=True)
-        self._g = _ExponentialSum(*_cauchy_binet_terms(p, c, 1), p, a0, om)
+        self._g = _ExponentialSum(*_cauchy_binet_terms(p, c, 1), modes)
         xrate = np.concatenate((self._f.xrate, self._g.xrate))
         trate = np.concatenate((self._f.trate, self._g.trate))
         # the largest real or imaginary part of any term's x and t rates

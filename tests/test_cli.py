@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -15,6 +16,7 @@ from hirota_trace import (
     random_admissible_set,
     trace_engine,
 )
+from hirota_trace import cli as cli_module
 from hirota_trace.cli import (
     FIELD_BLOCK_ROWS,
     _build_parser,
@@ -293,6 +295,22 @@ def test_non_finite_field_value_is_an_error(tmp_path, capsys, monkeypatch,
         "first at (x, t) = (-8.5, -4)"] * 2
 
 
+def test_non_finite_residual_report_is_an_error(tmp_path, capsys,
+                                               monkeypatch):
+    report = cli_module.residual_report
+
+    def nan_max_abs(*args, **kwargs):
+        return dataclasses.replace(report(*args, **kwargs), max_abs=math.nan)
+
+    monkeypatch.setattr(cli_module, "residual_report", nan_max_abs)
+    path = write_cfg(tmp_path, soliton_config(2, 5))
+    assert main(["residual", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: non-finite max_abs, max_rel in the "
+                            "hirota residual report\n")
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_field_out_into_missing_directory_is_an_error(tmp_path, capsys, fmt):
     path = write_cfg(tmp_path, soliton_config(2, 5))
@@ -457,19 +475,36 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert proc.stdout.startswith("x,t,re_psi,im_psi,abs_psi")
 
-    def test_residual_non_finite_is_error(self, tmp_path):
-        # a0 = 1e160 overflows the term coefficients; the NumPy warnings
-        # it prints first are left to a subprocess, so none reaches pytest
-        cfg = dict(CANONICAL, solitons=[{"p": [1.0, 0.0], "a0": [1e160, 0.0]}])
+    @pytest.mark.parametrize("command", ["field", "residual"])
+    @pytest.mark.parametrize("lam, a0, x", [
+        (8.0, [1e160], [-372.0, -364.0, 81]),
+        (8.0, [1e-160], [364.0, 372.0, 81]),
+        (1e300, [1.0, 1.0], [-175.0, -167.0, 81]),
+    ], ids=["a0-1e160", "a0-1e-160", "lambda-1e300"])
+    def test_extreme_amplitude_and_coupling_evaluate(self, tmp_path, command,
+                                                     lam, a0, x):
+        # term coefficients a0^4 ~ 1e+-640 and (lambda / 8)^2 ~ 1e598 leave
+        # double range, their logs do not.  The grid holds the envelope
+        # centre of the soliton p = 1 (near x = -171 for lambda = 1e300,
+        # with the second soliton near x = -344).  In a subprocess, so that
+        # stderr is seen whole, NumPy warnings too
+        solitons = [{"p": p, "a0": [v, 0.0]}
+                    for p, v in zip([[1.0, 0.0], [0.5, 0.3]], a0)]
+        cfg = dict(CANONICAL, medium={"rho": 1.0, "sigma": 1.0, "lambda": lam},
+                   solitons=solitons, grid={"x": x, "t": [-0.5, 0.5, 5]})
         proc = subprocess.run(
-            [sys.executable, "-m", "hirota_trace.cli", "residual",
+            [sys.executable, "-m", "hirota_trace.cli", command,
              "--config", write_cfg(tmp_path, cfg)],
             capture_output=True, text=True)
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert proc.stderr.splitlines()[-1] == (
-            "error: non-finite max_abs, rms, normalizer, max_rel in the "
-            "hirota residual report")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        if command == "residual":
+            report = json.loads(proc.stdout)
+            assert report["passed"] and report["n_degenerate"] == 0
+            # the peak sqrt(8 / lambda) Re p is on the grid
+            assert report["normalizer"] == pytest.approx(
+                math.sqrt(8 / lam), rel=1e-2)
+        else:
+            assert proc.stdout.count("\n") == 1 + 81 * 5
 
     @pytest.mark.parametrize("command", ["field", "residual"])
     @pytest.mark.parametrize("x, message", [

@@ -3,6 +3,7 @@
 import cmath
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hirota_trace import (
     build_B,
     build_Bx,
     build_D,
+    compiled,
     dispersion,
     eval_psi_closed,
     eval_psi_series,
@@ -251,6 +253,29 @@ class TestOneSolitonClosed:
             a = one_soliton_closed(s, CANON_MEDIUM, pt)
             b = eval_psi_closed(sset, CANON_MEDIUM, pt)
             assert a == pytest.approx(b, rel=1e-12)
+
+    @pytest.mark.parametrize("a0", [1e160 * (0.6 - 0.8j),
+                                    1e-160 * (0.6 + 0.8j)])
+    @pytest.mark.parametrize("lam", [8.0, 0.5])
+    def test_extreme_amplitude_matches_engine(self, a0, lam):
+        # around the envelope centre xi + eta = 0, where a0**4 leaves double
+        # range: an independent witness of the engine's log-domain terms
+        s = Soliton(p=0.8 + 0.4j, a0=a0)
+        medium = Medium(rho=1.0, sigma=1.0, lam=lam)
+        eta = one_soliton_envelope_shift(s, medium)
+        assert abs(eta) > 700
+        om = dispersion(s.p, medium)
+        t = np.linspace(-1.0, 1.0, 5)[:, None]
+        x = (2 * om.real * t - eta) / (2 * s.p.real) + np.linspace(-3, 3, 25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = compiled(SolitonSet((s,)), medium).psi(x, t)
+            got = np.array([[one_soliton_closed(s, medium,
+                                                SpaceTimePoint(xv, tv))
+                             for xv in row] for row, tv in zip(x, t[:, 0])])
+        peak = math.sqrt(8 / lam) * s.p.real
+        assert np.abs(want).max() == pytest.approx(peak, rel=1e-12)
+        assert np.abs(got - want).max() <= 1e-12 * peak
 
     def test_envelope_shift_zero_for_canonical(self):
         # lam |a0|^4 = 8 * 4 ... /(8 * 4) = 1 => eta = 0

@@ -2,16 +2,25 @@
 evaluation of tensor grids agrees with an independent per-point reference
 (direct sums over every subset pair with high-precision determinant minors)
 over admissible sets, near-coincident wavenumbers and grid rectangles out to
-|x| = 160."""
+|x| = 160; and the field of amplitudes from 1e-100 to 1e100, scaled by a
+translation in x or t, is the translated field."""
+
+import warnings
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from hirota_trace import CompiledSolution, Medium, SolitonSet  # noqa: E402
+from hirota_trace import (  # noqa: E402
+    CompiledSolution,
+    Medium,
+    SolitonSet,
+    one_soliton_envelope_shift,
+)
 from test_tiled_eval import assert_agree, per_point  # noqa: E402
+from test_trace_engine import TRANSLATION_TOL, translated  # noqa: E402
 
 MEDIUM = Medium(rho=1.0, sigma=1.0, lam=8.0)
 
@@ -54,3 +63,36 @@ def test_tiled_matches_per_point(sset, axes):
     tiled = engine.derivatives(xs[:, None], ts[None, :],
                                check_degenerate=False)
     assert_agree(tiled, per_point(sset, xs[:, None], ts[None, :]))
+
+
+@st.composite
+def extreme_sets(draw):
+    """Sets of up to four solitons with log10 |a0| in [-100, 100] and p at
+    least 0.05 apart, which keeps kappa_f small."""
+    n = draw(st.integers(1, 4))
+    p = [complex(draw(st.floats(0.3, 1.5)), draw(st.floats(-1.0, 1.0)))
+         for _ in range(n)]
+    assume(all(abs(p[i] - p[j]) >= 0.05 for i in range(n) for j in range(i)))
+    a0 = [10 ** draw(st.floats(-100.0, 100.0))
+          * np.exp(1j * draw(st.floats(0.0, 2 * np.pi))) for _ in range(n)]
+    return SolitonSet.from_pairs(zip(p, a0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sset=extreme_sets(), axis=st.sampled_from("xt"),
+       exponent=st.floats(-200.0, 200.0))
+def test_translation_at_extreme_amplitudes(sset, axis, exponent):
+    shifted, d = translated(sset, axis, exponent)
+    # axes of step 1/8 around the first soliton's envelope centre
+    first = sset.solitons[0]
+    x0 = round(-one_soliton_envelope_shift(first, MEDIUM)
+               / (2 * first.p.real) * 8) / 8
+    xs = x0 + np.linspace(-8.0, 8.0, 65)[:, None]
+    ts = np.linspace(-1.0, 1.0, 17)[None, :]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = CompiledSolution(sset, MEDIUM).psi(xs, ts)
+        got = CompiledSolution(shifted, MEDIUM).psi(
+            xs - d * (axis == "x"), ts - d * (axis == "t"))
+    err = np.abs(got - want) / np.maximum(1, np.abs(want))
+    assert err.max() <= TRANSLATION_TOL

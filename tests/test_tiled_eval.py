@@ -487,9 +487,12 @@ class TestDegenerateMask:
 
 
 def _full_f(sset: SolitonSet) -> _ExponentialSum:
-    """f over every pair (S, T), each Cauchy minor from _minor_terms."""
+    """f over every pair (S, T), each Cauchy minor from _minor_terms, passed
+    by its log."""
+    a, b, coef = _minor_terms(sset, 0)
     om = np.array([dispersion(pk, MEDIUM) for pk in sset.p])
-    return _ExponentialSum(*_minor_terms(sset, 0), sset.p, sset.a0, om)
+    modes = np.stack((2 * np.log(sset.a0), 2 * sset.p, -2 * om), axis=1)
+    return _ExponentialSum(a, b, np.log(coef), modes)
 
 
 class TestRealF:

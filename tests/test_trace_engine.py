@@ -124,10 +124,10 @@ class TestCauchyBinetCoefficients:
                 want = {(S, T): w * (1 if S == T else 2)
                         for (S, T), w in want.items()
                         if _bit_index(S) <= _bit_index(T)}
-            a, b, coef = _cauchy_binet_terms(p, lam / 8, excess)
+            a, b, log_gamma = _cauchy_binet_terms(p, lam / 8, excess)
             got = {(frozenset(np.flatnonzero(s)), frozenset(np.flatnonzero(t))):
-                   c for s, t, c in zip(a, b, coef)}
-            assert len(coef) == len(got) == count
+                   np.exp(c) for s, t, c in zip(a, b, log_gamma)}
+            assert len(log_gamma) == len(got) == count
             assert got.keys() == want.keys()
             for key, w in want.items():
                 assert abs(got[key] - w) <= 1e-13 * abs(w)
@@ -252,12 +252,82 @@ class TestCoincidentWavenumbers:
                 assert abs(got - want) <= 1e-11 * max(abs(want), 1e-300)
 
 
+#: the largest translation error relative to max(1, |psi|) that
+#: TestLogDomainTerms allows: its sweep's worst is 3.3e-11, in x and in t, a
+#: margin of 3 (the error grows with kappa_f times the largest exponent)
+TRANSLATION_TOL = 1e-10
+
+
+def translated(sset: SolitonSet, axis: str, exponent: float
+               ) -> tuple[SolitonSet, float]:
+    """(shifted, d): the set whose field at (x - d, t) (``axis`` 'x') or at
+    (x, t - d) (``axis`` 't') is the field of ``sset`` at (x, t), each a0_k
+    times exp(p_k d) or exp(-Omega_k d).  d is a multiple of 1/8 with
+    max_k |p_k d| or max_k |Omega_k d| at most |exponent|, so that on axes
+    of step 1/8 the shifted coordinates are exact."""
+    om = np.array([dispersion(pk, MEDIUM) for pk in sset.p])
+    rate = sset.p if axis == "x" else -om
+    d = math.trunc(exponent / np.abs(rate).max() * 8) / 8
+    return SolitonSet.from_pairs(zip(sset.p, sset.a0 * np.exp(rate * d))), d
+
+
+class TestLogDomainTerms:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_translation_moves_the_field(self, n):
+        # the shifted sets' coefficients reach exp(+-2770), far past double
+        # range
+        xs = np.linspace(-10.0, 10.0, 161)[:, None]
+        ts = np.linspace(-2.0, 2.0, 33)[None, :]
+        for seed in range(100 + 10 * n, 103 + 10 * n):
+            sset = random_admissible_set(n, seed)
+            want = compiled(sset, MEDIUM).psi(xs, ts)
+            for axis in "xt":
+                for exponent in (-200, -100, -40, 40, 100, 200):
+                    shifted, d = translated(sset, axis, exponent)
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        got = CompiledSolution(shifted, MEDIUM).psi(
+                            xs - d * (axis == "x"), ts - d * (axis == "t"))
+                    err = np.abs(got - want) / np.maximum(1, np.abs(want))
+                    assert err.max() <= TRANSLATION_TOL, (seed, axis, exponent)
+
+    def test_tiny_amplitudes_keep_every_term(self):
+        # down to a0^20 * 1e-400: a test on the coefficient's double value
+        # would drop 16 of the f terms and 5 of the g terms
+        sset = random_admissible_set(5, 105)
+        tiny = SolitonSet.from_pairs(zip(sset.p, sset.a0 * 1e-20))
+        engine = CompiledSolution(tiny, MEDIUM)
+        assert len(engine._f.log_coef) == (math.comb(10, 5) + 2 ** 5) // 2
+        assert len(engine._g.log_coef) == math.comb(10, 4)
+
+    def test_repeated_p_drops_the_pairs_holding_both_copies(self):
+        p = [0.7 + 0.2j, 1.1 - 0.4j, 0.7 + 0.2j, 0.9 + 0.5j]
+        sset = SolitonSet.from_pairs(zip(p, [1.0, 0.5j, 0.8 - 0.3j, 1.2]))
+        subsets = [frozenset(c) for k in range(5)
+                   for c in combinations(range(4), k)]
+        copies = frozenset({0, 2})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            engine = CompiledSolution(sset, MEDIUM)
+            for excess, terms in ((0, engine._f), (1, engine._g)):
+                a, b, log_gamma = _cauchy_binet_terms(sset.p, 1.0, excess)
+                got = {(frozenset(np.flatnonzero(s)),
+                        frozenset(np.flatnonzero(t))) for s, t in zip(a, b)}
+                want = {(S, T) for S in subsets for T in subsets
+                        if len(S) == len(T) + excess
+                        and (excess or _bit_index(S) <= _bit_index(T))
+                        and not (copies <= S or copies <= T)}
+                assert got == want
+                assert len(log_gamma) == len(terms.log_coef) == len(want)
+                assert np.isfinite(log_gamma).all()
+
+
 class TestSixSolitons:
     def test_terms_oracle_and_residual(self):
         sset = random_admissible_set(6, 36)
         engine = compiled(sset, MEDIUM)
-        assert len(engine._f.coef) == (924 + 2 ** 6) // 2  # S <= T
-        assert len(engine._g.coef) == 792
+        assert len(engine._f.log_coef) == (924 + 2 ** 6) // 2  # S <= T
+        assert len(engine._g.log_coef) == 792
         for x, t in [(0.0, 0.0), (1.5, -0.5), (-2.0, 0.3)]:
             got = complex(engine.psi(np.asarray(x), np.asarray(t)))
             want = mpmath_psi(sset, MEDIUM, x, t)
