@@ -188,6 +188,16 @@ class GridSpec:
         return np.linspace(self.t_min, self.t_max, self.nt)
 
 
+def _log_coupling(lam: float) -> float:
+    """log(lam / 8).  The quotient is exact while it is a normal double;
+    below that (lam < 1.8e-307) it would lose digits or round to 0, so the
+    log is taken as log lam - log 8."""
+    c = lam / 8
+    if c >= sys.float_info.min:
+        return math.log(c)
+    return math.log(lam) - math.log(8)
+
+
 def dispersion(p: complex, medium: Medium) -> complex:
     """Mode frequency Omega = -2i*rho*p**2 + 4*sigma*p**3."""
     return -2j * medium.rho * p * p + 4 * medium.sigma * p * p * p
@@ -232,8 +242,8 @@ def _bounded_phis(sset: SolitonSet, medium: Medium, pt: SpaceTimePoint,
     of (lam/8) D conj(D) would leave double range (see build_D)."""
     ph = [phi(s, medium, pt) for s in sset.solitons]
     top = max(map(abs, ph))
-    if top and (4 * math.log(top) - 2 * math.log(dmin)
-                + math.log(len(sset) * medium.lam / 8)) > EXP_LIMIT:
+    if top and (4 * math.log(top) - 2 * math.log(dmin) + math.log(len(sset))
+                + _log_coupling(medium.lam)) > EXP_LIMIT:
         raise FieldOverflowError(
             f"D conj(D) entries outside double range at {pt}")
     return ph
@@ -362,7 +372,7 @@ def spectral_radius_q(sset: SolitonSet, medium: Medium,
 def one_soliton_envelope_shift(s: Soliton, medium: Medium) -> float:
     """Envelope offset eta = (1/2) ln(lam |a0|^4 / (8 (p + conj(p))^2)),
     taken as a sum of logs, so that it is finite for every admissible a0."""
-    return 0.5 * (math.log(medium.lam / 8) + 4 * math.log(abs(s.a0))
+    return 0.5 * (_log_coupling(medium.lam) + 4 * math.log(abs(s.a0))
                   - 2 * math.log(2 * s.p.real))
 
 
@@ -378,8 +388,8 @@ def one_soliton_closed(s: Soliton, medium: Medium, pt: SpaceTimePoint) -> comple
     carrier exponential does NOT carry the extra exp(-eta) factor that a
     naive reading of the sech formula might suggest; the committed form is
     the one that agrees with eval_psi_closed identically.  The amplitude
-    (a0**2 / 2) * exp(-eta) is formed as (a0 / |a0|)**2 sqrt(8 / lam) Re p,
-    which stays in double range for every admissible a0.
+    (a0**2 / 2) * exp(-eta) is formed as (a0 / |a0|)**2 sqrt(8) / sqrt(lam)
+    Re p, which stays in double range for every admissible a0 and lam.
     """
     return complex(_one_soliton_values(s, medium,
                                        np.asarray(pt.x), np.asarray(pt.t)))
@@ -394,5 +404,6 @@ def _one_soliton_values(s: Soliton, medium: Medium,
     carrier = np.exp((s.p - s.p.conjugate()) * x - (om - om.conjugate()) * t)
     with np.errstate(over="ignore"):
         env = 1.0 / np.cosh(xi + eta)
-    amplitude = (s.a0 / abs(s.a0)) ** 2 * math.sqrt(8 / medium.lam) * s.p.real
+    amplitude = ((s.a0 / abs(s.a0)) ** 2
+                 * (math.sqrt(8) / math.sqrt(medium.lam)) * s.p.real)
     return amplitude * env * carrier

@@ -48,7 +48,10 @@ unique sorted values of x and of t (as one grid, or one x axis per distinct
 t when that grid would have more cells than there are points) and gathered
 back.  The pass that sums f decides which points are degenerate: those
 where the summation condition number kappa_f = sum_j |term_j| / |f|
-exceeds 1 / CANCEL_TOL.
+exceeds 1 / CANCEL_TOL.  One iterator yields the tiles: the evaluation
+methods gather them into arrays over the whole point set, and the residual
+report reduces each tile while it is in cache, so its working memory does
+not grow with the grid.
 
 This module is the evaluation engine behind grid fields, analytic
 derivatives, and therefore all residual checks.
@@ -62,7 +65,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Medium, SolitonSet, dispersion
+from .core import Medium, SolitonSet, _log_coupling, dispersion
 from .errors import DegeneratePointError, FieldOverflowError
 
 #: |f| / sum_j |term_j| (the inverse of f's summation condition number
@@ -79,16 +82,17 @@ TILE_SPREAD = 128.0
 TILE_POINTS = 128
 
 
-def _cauchy_binet_terms(p: np.ndarray, coupling: float, excess: int
+def _cauchy_binet_terms(p: np.ndarray, log_coupling: float, excess: int
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Monomials and coefficient logs of f (``excess`` 0) or g (``excess`` 1).
 
     Returns boolean membership rows a (set S, variables z) and b (set T,
     variables w), one per pair with |S| = |T| + excess and no repeated p in
     S or in T, and the complex logs of the coefficients c^|T| det(A[S,T])^2
-    (bordered by ones when excess is 1).  For f only the pairs with S <= T
-    by bit index are kept, those with S != T at twice their coefficient, so
-    that f is the real part of the sum.
+    (bordered by ones when excess is 1), given log c as ``log_coupling``.
+    For f only the pairs with S <= T by bit index are kept, those with
+    S != T at twice their coefficient, so that f is the real part of the
+    sum.
     """
     n = len(p)
     index = np.arange(1 << n)
@@ -109,7 +113,7 @@ def _cauchy_binet_terms(p: np.ndarray, coupling: float, excess: int
     log_cauchy = np.log(p[:, None] + p.conj()[None, :])
     log_minor = (vdm[s_idx] + vdm[t_idx].conj()
                  - ((a @ log_cauchy) * b).sum(axis=1))
-    log_gamma = size[t_idx] * math.log(coupling) + 2 * log_minor
+    log_gamma = size[t_idx] * log_coupling + 2 * log_minor
     if not excess:
         log_gamma += math.log(2) * (s_idx != t_idx)
     return a, b, log_gamma
@@ -293,10 +297,10 @@ class CompiledSolution:
         p = sset.p
         om = np.array([dispersion(pk, medium) for pk in p], dtype=complex)
         modes = np.stack((2 * np.log(sset.a0), 2 * p, -2 * om), axis=1)
-        c = medium.lam / 8
-        self._f = _ExponentialSum(*_cauchy_binet_terms(p, c, 0), modes,
+        log_c = _log_coupling(medium.lam)
+        self._f = _ExponentialSum(*_cauchy_binet_terms(p, log_c, 0), modes,
                                   real=True)
-        self._g = _ExponentialSum(*_cauchy_binet_terms(p, c, 1), modes)
+        self._g = _ExponentialSum(*_cauchy_binet_terms(p, log_c, 1), modes)
         xrate = np.concatenate((self._f.xrate, self._g.xrate))
         trate = np.concatenate((self._f.trate, self._g.trate))
         # the largest real or imaginary part of any term's x and t rates
@@ -339,14 +343,10 @@ class CompiledSolution:
         _check_orders(orders)
         out = self._evaluate(x, t, orders)
         bad = out["degenerate"]
-        if np.any(bad):
-            if check_degenerate:
-                raise DegeneratePointError(
-                    "determinant cancellation beyond double precision at "
-                    f"{int(np.count_nonzero(bad))} point(s)")
-            for key in out:
-                if key != "degenerate":
-                    out[key] = np.where(bad, np.nan + 0j, out[key])
+        if check_degenerate and np.any(bad):
+            raise DegeneratePointError(
+                "determinant cancellation beyond double precision at "
+                f"{int(np.count_nonzero(bad))} point(s)")
         return out
 
     def _evaluate(self, x, t, orders: list[tuple[int, int]]) -> dict:
@@ -425,13 +425,22 @@ class CompiledSolution:
                 f"[{xs[0]:.6g}, {xs[-1]:.6g}], t in "
                 f"[{ts[0]:.6g}, {ts[-1]:.6g}]")
 
-    def _tiled(self, xs: np.ndarray, ts: np.ndarray,
-               orders: list[tuple[int, int]]) -> dict:
-        """Tiled separable evaluation on the sorted tensor grid xs by ts."""
-        shape = (len(xs), len(ts))
-        names = [_NAMES[o] for o in orders]
-        out = {key: np.empty(shape, dtype=complex) for key in names}
-        out["degenerate"] = np.empty(shape, dtype=bool)
+    def _tile_iter(self, xs: np.ndarray, ts: np.ndarray,
+                   orders: list[tuple[int, int]],
+                   solve: list[tuple[int, int]] | None = None):
+        """Tiled separable evaluation on the sorted tensor grid xs by ts.
+
+        Cuts the tiles and checks their range (FieldOverflowError) before
+        the first tile, then yields (xsl, tsl, jets, bad) per tile: the
+        tile's slices of xs and ts, psi's named jets as arrays of the
+        tile's shape, and the tile's mask of degenerate points, where every
+        jet is NaN.  The tile products form f's and g's jets for ``orders``,
+        and psi's are solved for ``solve`` (default ``orders``), a subset
+        that _check_orders accepts.  BLAS may round a column of a product
+        differently when the product is narrower, so a caller that needs
+        fewer jets and the same bits passes them as ``solve``.
+        """
+        solve = orders if solve is None else solve
         x_tiles, t_tiles = self._tile_slices(xs, ts)
         self._check_range(xs, ts, x_tiles, t_tiles)
         f_tiles = self._f.tile_jets(xs, ts, x_tiles, t_tiles, orders,
@@ -439,11 +448,27 @@ class CompiledSolution:
         g_tiles = self._g.tile_jets(xs, ts, x_tiles, t_tiles, orders)
         for (xsl, tsl, fj, sf, total), (_, _, gj, sg, _) in zip(f_tiles,
                                                                  g_tiles):
-            out["degenerate"][xsl, tsl] = (np.abs(fj[(0, 0)])
-                                           < CANCEL_TOL * total)
+            bad = np.abs(fj[(0, 0)]) < CANCEL_TOL * total
+            jets = {_NAMES[o]: np.empty(bad.shape, dtype=complex)
+                    for o in solve}
             with np.errstate(invalid="ignore", divide="ignore"):
-                _ratio_jets(fj, gj, np.exp(sg - sf),
-                            {key: out[key][xsl, tsl] for key in names})
+                _ratio_jets({o: fj[o] for o in solve}, gj, np.exp(sg - sf),
+                            jets)
+            if bad.any():
+                for v in jets.values():
+                    v[bad] = np.nan
+            yield xsl, tsl, jets, bad
+
+    def _tiled(self, xs: np.ndarray, ts: np.ndarray,
+               orders: list[tuple[int, int]]) -> dict:
+        """_tile_iter's tiles gathered into arrays over the whole grid."""
+        shape = (len(xs), len(ts))
+        out = {_NAMES[o]: np.empty(shape, dtype=complex) for o in orders}
+        out["degenerate"] = np.empty(shape, dtype=bool)
+        for xsl, tsl, jets, bad in self._tile_iter(xs, ts, orders):
+            out["degenerate"][xsl, tsl] = bad
+            for key, v in jets.items():
+                out[key][xsl, tsl] = v
         return out
 
 

@@ -14,6 +14,7 @@ parameters) i times the real-form modified KdV residual.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +31,11 @@ from .core import (
 )
 from .errors import (
     EmptyReportError,
+    FieldOverflowError,
     ResonanceError,
     UnseparatedEnvelopesError,
 )
-from .trace_engine import compiled
+from .trace_engine import _ALL_ORDERS, compiled
 
 RESONANCE_TOL = 1e-12
 
@@ -86,12 +88,31 @@ class CollisionMetrics:
 
 
 def _residual_arrays(medium: Medium, d: dict) -> np.ndarray:
-    """The Hirota residual (module docstring) of a derivative bundle."""
+    """The Hirota residual (module docstring) of a derivative bundle.  A
+    term whose medium coefficient is exactly 0 is left out (it is an exact
+    +-0), so an nls bundle needs no psi_xxx."""
     psi = d["psi"]
     absq = np.abs(psi) ** 2
-    return (1j * d["psi_t"] + 3j * medium.alpha * absq * d["psi_x"]
-            + medium.rho * d["psi_xx"] + 1j * medium.sigma * d["psi_xxx"]
-            + medium.delta * absq * psi)
+    res = 1j * d["psi_t"]
+    if medium.alpha:
+        res = res + 3j * medium.alpha * absq * d["psi_x"]
+    if medium.rho:
+        res = res + medium.rho * d["psi_xx"]
+    if medium.sigma:
+        res = res + 1j * medium.sigma * d["psi_xxx"]
+    if medium.delta:
+        res = res + medium.delta * absq * psi
+    return res
+
+
+def _check_coefficients(medium: Medium) -> None:
+    """Raise FieldOverflowError unless the residual's coefficients 3 alpha
+    and delta are finite doubles (alpha = lam sigma and delta = lam rho can
+    leave double range although lam, rho and sigma are finite)."""
+    if not (math.isfinite(3 * medium.alpha) and math.isfinite(medium.delta)):
+        raise FieldOverflowError(
+            f"residual coefficients 3 alpha = {3 * medium.alpha} and delta = "
+            f"{medium.delta} must be finite doubles")
 
 
 def residual_at(kind: EquationKind, sset: SolitonSet, medium: Medium,
@@ -99,6 +120,7 @@ def residual_at(kind: EquationKind, sset: SolitonSet, medium: Medium,
     """Left-hand side of the selected equation at one point; mKdV in its
     real form, -i times the Hirota residual."""
     kind.check_medium(medium)
+    _check_coefficients(medium)
     d = analytic_derivatives_grid(sset, medium,
                                   np.asarray(pt.x), np.asarray(pt.t))
     value = complex(_residual_arrays(medium, d))
@@ -109,31 +131,53 @@ def residual_report(kind: EquationKind, sset: SolitonSet, medium: Medium,
                     grid: GridSpec) -> ResidualReport:
     """Aggregate residual_at over the grid, skipping degenerate points.
 
-    The worst point is deterministic: ties break to lowest x, then lowest t.
+    The grid is reduced tile by tile as the engine evaluates it, so no
+    array over the whole grid is formed.  The worst point is deterministic:
+    ties break to lowest x, then lowest t.
     """
     kind.check_medium(medium)
+    _check_coefficients(medium)
     xs = grid.xs()
     ts = grid.ts()
-    # x-major layout so np.argmax's first-hit rule realizes the tie-break
-    d = analytic_derivatives_grid(sset, medium, xs[:, None], ts[None, :],
-                                  check_degenerate=False)
-    bad = d["degenerate"]
-    res = np.abs(_residual_arrays(medium, d))
-    good = ~bad
-    n_good = int(np.count_nonzero(good))
+    # with sigma = 0 the residual has no psi_xxx term, which is then not
+    # solved for; f's and g's products keep all five jets, so that every
+    # other jet keeps its bits
+    solve = [o for o in _ALL_ORDERS if medium.sigma or o != (3, 0)]
+    # the largest (is NaN, |residual|, -ix, -it) seen, so that NaN wins
+    # as in np.argmax and ties break to lowest x, then lowest t
+    best = (False, -np.inf, 0, 0)
+    sumsq = 0.0
+    normalizer = 0.0
+    n_good = 0
+    for xsl, tsl, jets, bad in compiled(sset, medium)._tile_iter(
+            xs, ts, _ALL_ORDERS, solve):
+        # flat indices of the tile's good points, None when all are good
+        index = np.flatnonzero(~bad) if bad.any() else None
+        if index is not None and not len(index):
+            continue
+        res = np.abs(_residual_arrays(medium, jets)).ravel()
+        mag = np.abs(jets["psi"]).ravel()
+        if index is not None:
+            res, mag = res[index], mag[index]
+        n_good += len(res)
+        k = int(res.argmax())
+        top = float(res[k])
+        ix, it = divmod(k if index is None else int(index[k]), bad.shape[1])
+        best = max(best, (math.isnan(top), 0.0 if math.isnan(top) else top,
+                          -(xsl.start + ix), -(tsl.start + it)))
+        sumsq += float(np.square(res).sum())
+        normalizer = float(np.maximum(normalizer, mag.max()))
     if n_good == 0:
         raise EmptyReportError("all grid points degenerate")
-    res_good = np.where(good, res, -np.inf)
-    flat = int(np.argmax(res_good))
-    ix, it = np.unravel_index(flat, res.shape)
-    normalizer = float(np.max(np.where(good, np.abs(d["psi"]), 0.0)))
+    is_nan, top, minus_ix, minus_it = best
     return ResidualReport(
-        max_abs=float(res_good.flat[flat]),
-        rms=float(np.sqrt(np.mean(res[good] ** 2))),
+        max_abs=np.nan if is_nan else top,
+        rms=math.sqrt(sumsq / n_good),
         normalizer=normalizer,
         n_points=n_good,
-        worst_point=SpaceTimePoint(float(xs[ix]), float(ts[it])),
-        n_degenerate=int(np.count_nonzero(bad)),
+        worst_point=SpaceTimePoint(float(xs[-minus_ix]),
+                                   float(ts[-minus_it])),
+        n_degenerate=len(xs) * len(ts) - n_good,
     )
 
 

@@ -161,6 +161,23 @@ class TestFieldCommand:
         assert main(["field", "--config", write_cfg(tmp_path, data)]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 2
 
+    def test_coupling_below_eight_times_the_least_double(self, tmp_path,
+                                                         capsys):
+        # lam / 8 rounds to 0; the envelope centre of p = 1 + 0.3i is near
+        # x = 187
+        data = dict(CANONICAL, medium={"rho": 1.0, "sigma": 1.0,
+                                       "lambda": 1e-323},
+                    solitons=[{"p": [1.0, 0.3], "a0": [0.8, 0.2]}],
+                    grid={"x": [180.0, 195.0, 31], "t": [-1.0, 1.0, 5]})
+        assert main(["field", "--config", write_cfg(tmp_path, data)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        peak = max(float(r.split(",")[4])
+                   for r in captured.out.strip().splitlines()[1:])
+        # the peak sqrt(8 / lam) Re p is on the grid
+        assert peak == pytest.approx(math.sqrt(8) / math.sqrt(1e-323),
+                                     rel=1e-2)
+
     def test_json_format_and_out_file(self, canonical_path, tmp_path):
         out = tmp_path / "field.json"
         assert main(["field", "--config", canonical_path,
@@ -540,6 +557,21 @@ class TestConsoleScript:
         assert proc.stderr == (
             "error: mode exponent outside double range on the grid x in "
             "[5e+307, 8e+307], t in [-1, 1]\n")
+
+    def test_overflowing_residual_coefficient_is_one_error_line(self,
+                                                                tmp_path):
+        # 3 alpha = 3 lam sigma leaves double range although lam is finite
+        cfg = dict(TWO_SOLITON, medium={"rho": 1.0, "sigma": 1.0,
+                                        "lambda": 1.7e308},
+                   grid={"x": [-5.0, 5.0, 21], "t": [-1.0, 1.0, 5]})
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "hirota_trace.cli", "residual",
+             "--config", write_cfg(tmp_path, cfg)],
+            capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error: residual coefficients")
+        assert proc.stderr.count("\n") == 1
 
     def test_determinism(self, canonical_path):
         runs = [subprocess.run(

@@ -24,6 +24,8 @@ from hirota_trace import (
     compiled,
     dispersion,
     eval_psi_closed,
+    one_soliton_closed,
+    one_soliton_envelope_shift,
     random_admissible_set,
     residual_report,
 )
@@ -124,7 +126,8 @@ class TestCauchyBinetCoefficients:
                 want = {(S, T): w * (1 if S == T else 2)
                         for (S, T), w in want.items()
                         if _bit_index(S) <= _bit_index(T)}
-            a, b, log_gamma = _cauchy_binet_terms(p, lam / 8, excess)
+            a, b, log_gamma = _cauchy_binet_terms(p, math.log(lam / 8),
+                                                  excess)
             got = {(frozenset(np.flatnonzero(s)), frozenset(np.flatnonzero(t))):
                    np.exp(c) for s, t, c in zip(a, b, log_gamma)}
             assert len(log_gamma) == len(got) == count
@@ -300,6 +303,23 @@ class TestLogDomainTerms:
         assert len(engine._f.log_coef) == (math.comb(10, 5) + 2 ** 5) // 2
         assert len(engine._g.log_coef) == math.comb(10, 4)
 
+    def test_coupling_below_eight_times_the_least_double(self):
+        # lam / 8 rounds to 0 for lam = 1e-323, log lam - log 8 does not;
+        # the envelope centre, where (lam / 8) |phi|^4 ~ 1, sits near x = 187
+        tiny = Medium(rho=1.0, sigma=1.0, lam=1e-323)
+        s = Soliton(p=1 + 0.3j, a0=0.8 + 0.2j)
+        eta = one_soliton_envelope_shift(s, tiny)
+        assert eta == pytest.approx(-373.99, abs=0.01)
+        compiled(random_admissible_set(3, 1), tiny)
+        t = 0.4
+        om = dispersion(s.p, tiny)
+        centre = (2 * om.real * t - eta) / (2 * s.p.real)
+        xs = np.linspace(centre - 3, centre + 3, 13)
+        got = compiled(SolitonSet((s,)), tiny).psi(xs, t)
+        want = np.array([one_soliton_closed(s, tiny, SpaceTimePoint(x, t))
+                         for x in xs])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_repeated_p_drops_the_pairs_holding_both_copies(self):
         p = [0.7 + 0.2j, 1.1 - 0.4j, 0.7 + 0.2j, 0.9 + 0.5j]
         sset = SolitonSet.from_pairs(zip(p, [1.0, 0.5j, 0.8 - 0.3j, 1.2]))
@@ -310,7 +330,7 @@ class TestLogDomainTerms:
             warnings.simplefilter("error")
             engine = CompiledSolution(sset, MEDIUM)
             for excess, terms in ((0, engine._f), (1, engine._g)):
-                a, b, log_gamma = _cauchy_binet_terms(sset.p, 1.0, excess)
+                a, b, log_gamma = _cauchy_binet_terms(sset.p, 0.0, excess)
                 got = {(frozenset(np.flatnonzero(s)),
                         frozenset(np.flatnonzero(t))) for s, t in zip(a, b)}
                 want = {(S, T) for S in subsets for T in subsets
