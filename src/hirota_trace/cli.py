@@ -306,6 +306,11 @@ def cmd_series(cfg: RunConfig, point: str, max_order: int) -> int:
                     "error": abs(s - closed)}
                    for k, s in enumerate(map(complex, sums))],
     }
+    values = [q, *out["closed"]] + [v for row in out["orders"]
+                                    for v in (*row["partial"], row["error"])]
+    if not all(map(math.isfinite, values)):
+        raise NonFiniteFieldError(
+            f"non-finite value in the series report at {pt}")
     print(json.dumps(out, indent=2))
     return 0
 

@@ -322,37 +322,65 @@ def eval_psi_closed(sset: SolitonSet, medium: Medium, pt: SpaceTimePoint,
     return eval_psi_closed_stack(sset, medium, [pt], cond_limit)[0]
 
 
+def _series_jets(sset: SolitonSet, medium: Medium, pt: SpaceTimePoint,
+                 max_order: int, orders: list[tuple[int, int]]) -> np.ndarray:
+    """Terms psi_n = (-lam/8)^n tr[B_x (D conj(D))^n], n <= max_order, and
+    their derivatives at pt: entry [n, c] is d^i/dx^i d^l/dt^l psi_n for
+    orders[c] = (i, l); orders starts with (0, 0) and holds every lower
+    order of its members.  Each entry of B_x, D and conj(D) is one
+    exponential, so its derivatives are powers of its rates times itself.
+    A matrix is carried as the block matrix whose block (a, b) is C(i, j)
+    C(l, m) times its order (i - j, l - m) derivative, for orders[a] =
+    (i, l) and orders[b] = (j, m): products of these follow the Leibniz
+    rule, with the derivatives in the first block column.  -lam/8 rides on
+    D, so no power of it is formed.  Raises FieldOverflowError at the first
+    order whose term or partial sum is not a finite double.
+    """
+    n, k = len(sset), len(orders)
+    if not n:
+        return np.zeros((max_order + 1, k), dtype=complex)
+    denom, dmin = _pair_denominators(sset)
+    ph = np.array(_bounded_phis(sset, medium, pt, dmin))
+    p, om = sset.p, np.array([dispersion(s.p, medium) for s in sset.solitons])
+
+    def jet(a: np.ndarray, x_rate: np.ndarray,
+            t_rate: np.ndarray) -> np.ndarray:
+        d = {(i, l): a * x_rate ** i * t_rate ** l if i or l else a
+             for i, l in orders}
+        return np.block([[math.comb(i, j) * math.comb(l, m) * d[i - j, l - m]
+                          if j <= i and m <= l else 0 * a
+                          for j, m in orders] for i, l in orders])
+
+    terms = np.empty((max_order + 1, k), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # conj(D) and its rates are the conjugates of D's, so is its jet
+        d_jet = jet(np.outer(ph, ph.conj()) / denom, denom,
+                    -(om[:, None] + om.conj()))
+        step = (-(medium.lam / 8) * d_jet) @ d_jet.conj()
+        term = jet(np.outer(ph, ph), p[:, None] + p, -(om[:, None] + om))
+        for order in range(max_order + 1):
+            terms[order] = np.trace(term[:, :n].reshape(k, n, n),
+                                    axis1=1, axis2=2)
+            if order < max_order:
+                term = term @ step
+        sums = np.cumsum(terms, axis=0)
+    # a partial sum that is not finite stays so in every later one
+    if not np.isfinite(sums[-1]).all():
+        first = int(np.argmin(np.isfinite(sums).all(axis=1)))
+        raise FieldOverflowError(f"order-{first} series term or partial sum "
+                                 f"outside double range at {pt}")
+    return terms
+
+
 def series_partial_sums(sset: SolitonSet, medium: Medium, pt: SpaceTimePoint,
                         max_order: int) -> np.ndarray:
-    """Partial sums S_K = sum_{n<=K} (-1)^n (lam/8)^n tr[B_x (D conj(D))^n].
-
-    Successive powers are accumulated by repeated multiplication.  Entry K of
-    the returned array is S_K; convergence is the caller's concern (see
-    spectral_radius_q).
-    """
+    """Partial sums S_K = sum_{n<=K} (-1)^n (lam/8)^n tr[B_x (D conj(D))^n]
+    of _series_jets's terms, S_K at entry K; convergence is the caller's
+    concern (see spectral_radius_q).  Raises FieldOverflowError at the
+    first order whose term or partial sum is not a finite double."""
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
-    if len(sset) == 0:
-        return np.zeros(max_order + 1, dtype=complex)
-    D = build_D(sset, medium, pt)
-    Bx = build_Bx(sset, medium, pt)
-    DDb = D @ D.conj()
-    c = medium.lam / 8
-    sums = np.empty(max_order + 1, dtype=complex)
-    term = Bx
-    acc = 0j
-    for n in range(max_order + 1):
-        acc += (-c) ** n * np.trace(term)
-        sums[n] = acc
-        if n < max_order:
-            term = term @ DDb
-    return sums
-
-
-def eval_psi_series(sset: SolitonSet, medium: Medium, pt: SpaceTimePoint,
-                    max_order: int) -> complex:
-    """Truncated perturbation series through order ``max_order``."""
-    return complex(series_partial_sums(sset, medium, pt, max_order)[-1])
+    return np.cumsum(_series_jets(sset, medium, pt, max_order, [(0, 0)])[:, 0])
 
 
 def spectral_radius_q(sset: SolitonSet, medium: Medium,

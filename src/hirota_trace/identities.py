@@ -1,5 +1,9 @@
 """Exact combinatorial identities behind the order-by-order construction,
-plus numerical cross-checks between the multi-sum and trace representations.
+and numerical checks of that construction.  The terms psi_n of the series
+and their derivatives come from one matrix-jet chain in core
+(_series_jets): the third-order cross-check holds its order-1 term against
+the multi-sum over mode indices, and the hierarchy recursion reads its jets
+at any order.
 
 The cubic and quadratic identities are polynomial in the 2n+1 symbols, so
 exact equality at random Gaussian-rational points (repeated with fresh
@@ -19,15 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (
-    Medium,
-    SolitonSet,
-    SpaceTimePoint,
-    build_Bx,
-    build_D,
-    dispersion,
-    phi,
-)
+from .core import Medium, SolitonSet, SpaceTimePoint, _series_jets, phi
+from .trace_engine import _ALL_ORDERS
 
 
 @dataclass(frozen=True)
@@ -226,73 +223,56 @@ def psi3_crosscheck(sset: SolitonSet, medium: Medium,
     """Third-order term computed two independent ways.
 
     Returns (direct, trace): the triple sum over mode indices (_psi_term
-    at n = 1), and -(lam/8) tr[B_x D conj(D)] built from the assembled
-    matrices.
+    at n = 1), and -(lam/8) tr[B_x D conj(D)], the order-1 term of the
+    series' matrix chain.
     """
     direct = _psi_term(sset, medium, pt, 1)
-    Bx = build_Bx(sset, medium, pt)
-    D = build_D(sset, medium, pt)
-    trace = -(medium.lam / 8) * complex(np.trace(Bx @ D @ D.conj()))
+    trace = complex(_series_jets(sset, medium, pt, 1, [(0, 0)])[1, 0])
     return direct, trace
 
 
 def _psi_term(sset: SolitonSet, medium: Medium, pt: SpaceTimePoint,
-              n: int, dx: int = 0, dt: int = 0) -> complex:
-    """Multi-sum form of the order-(2n+1) term, optionally differentiated.
-
-    Every summand is a pure exponential, so the x- and t-derivatives just
-    multiply it by its total mode rate (sum of 2*q_j) raised to dx and its
-    time rate raised to dt.  Summation indices at even slot positions enter
-    unconjugated, odd slots conjugated.
-    """
-    nsol = len(sset)
+              n: int) -> complex:
+    """Multi-sum form of the order-(2n+1) term psi_n: each index at an even
+    slot enters as phi_i^2 with momentum p_i, at an odd slot as
+    -(lam/8) conj(phi_i)^2 with conj(p_i), and each summand is divided by
+    the 2n sums of adjacent slot momenta."""
     p = sset.p
-    om = np.array([dispersion(pk, medium) for pk in p], dtype=complex)
-    ph = np.array([phi(s, medium, pt) for s in sset.solitons], dtype=complex)
-    coeff = (-(medium.lam / 8)) ** n
+    ph = [phi(s, medium, pt) for s in sset.solitons]
+    c = medium.lam / 8
     total = 0j
-    for idx in itertools.product(range(nsol), repeat=2 * n + 1):
-        q = [p[i] if j % 2 == 0 else p[i].conjugate()
-             for j, i in enumerate(idx)]
-        w = [om[i] if j % 2 == 0 else om[i].conjugate()
-             for j, i in enumerate(idx)]
-        denom = 1.0 + 0j
-        for j in range(2 * n):
-            denom *= q[j] + q[j + 1]
-        numer = 1.0 + 0j
-        for j, i in enumerate(idx):
-            numer *= ph[i] ** 2 if j % 2 == 0 else ph[i].conjugate() ** 2
-        xrate = 2 * sum(q)
-        trate = -2 * sum(w)
-        total += (xrate ** dx) * (trate ** dt) * numer / denom
-    return coeff * total
+    for idx in itertools.product(range(len(sset)), repeat=2 * n + 1):
+        slots = [(ph[i] ** 2, p[i]) if j % 2 == 0
+                 else (-c * ph[i].conjugate() ** 2, p[i].conjugate())
+                 for j, i in enumerate(idx)]
+        total += (math.prod(w for w, _ in slots)
+                  / math.prod(q + r for (_, q), (_, r)
+                              in zip(slots, slots[1:])))
+    return total
 
 
 def recursion_residual(sset: SolitonSet, medium: Medium, pt: SpaceTimePoint,
                        n: int) -> float:
-    """Relative mismatch of the order-(2n+1) member of the hierarchy.
+    """Relative mismatch |lhs - rhs| / max(|lhs|, |rhs|) of the order-(2n+1)
+    member of the hierarchy, for any n >= 1: the linear operator on the
+    term psi_n equals the nonlinear sum over lower-order terms,
 
-    The linear operator applied to the multi-sum term must equal the
-    nonlinear double sum over lower-order terms; returns
-    |lhs - rhs| / max(|lhs|, |rhs|).  Capped at n <= 2 because summand
-    counts grow combinatorially.
+        i psi_n,t + rho psi_n,xx + i sigma psi_n,xxx
+            = sum_{l+m+k=n-1} psi_l conj(psi_m) (-3i alpha psi_k,x
+                                                 - delta psi_k),
+
+    every term and derivative read from the series' jet chain.
     """
-    if n not in (1, 2):
-        raise ValueError("recursion check supported for n in {1, 2}")
-    lhs = (1j * _psi_term(sset, medium, pt, n, dt=1)
-           + medium.rho * _psi_term(sset, medium, pt, n, dx=2)
-           + 1j * medium.sigma * _psi_term(sset, medium, pt, n, dx=3))
-    rhs = 0j
-    for l in range(n):
-        for m in range(n - l):
-            k = n - l - m - 1
-            a = _psi_term(sset, medium, pt, l)
-            b = _psi_term(sset, medium, pt, m)
-            c = _psi_term(sset, medium, pt, k)
-            cx = _psi_term(sset, medium, pt, k, dx=1)
-            rhs += (-3j * medium.alpha * a * b.conjugate() * cx
-                    - medium.delta * a * b.conjugate() * c)
+    if n < 1:
+        raise ValueError(f"recursion order must be >= 1, got {n}")
+    psi, psi_x, psi_xx, psi_xxx, psi_t = _series_jets(
+        sset, medium, pt, n, _ALL_ORDERS).T
+    lhs = (1j * psi_t[n] + medium.rho * psi_xx[n]
+           + 1j * medium.sigma * psi_xxx[n])
+    low = psi[:n]
+    nonlinear = -3j * medium.alpha * psi_x[:n] - medium.delta * low
+    rhs = np.convolve(np.convolve(low, low.conj()), nonlinear)[n - 1]
     scale = max(abs(lhs), abs(rhs))
     if scale == 0.0:
         return 0.0
-    return abs(lhs - rhs) / scale
+    return float(abs(lhs - rhs) / scale)

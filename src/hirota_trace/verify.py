@@ -105,14 +105,21 @@ def _residual_arrays(medium: Medium, d: dict) -> np.ndarray:
     return res
 
 
-def _check_coefficients(medium: Medium) -> None:
+def _check_range(sset: SolitonSet, medium: Medium) -> None:
     """Raise FieldOverflowError unless the residual's coefficients 3 alpha
     and delta are finite doubles (alpha = lam sigma and delta = lam rho can
-    leave double range although lam, rho and sigma are finite)."""
+    leave double range although lam, rho and sigma are finite), and so is
+    the a-priori bound (8/lam) (sum_k Re p_k)^2 on |psi|^2 (Zakharov and
+    Shabat 1972), which a tiny lam takes out of range."""
     if not (math.isfinite(3 * medium.alpha) and math.isfinite(medium.delta)):
         raise FieldOverflowError(
             f"residual coefficients 3 alpha = {3 * medium.alpha} and delta = "
             f"{medium.delta} must be finite doubles")
+    re_sum = sum(s.p.real for s in sset.solitons)
+    if not math.isfinite(8 / medium.lam * re_sum * re_sum):
+        raise FieldOverflowError(
+            f"the bound (8/lambda) (sum Re p)^2 on |psi|^2 leaves double "
+            f"range for lambda = {medium.lam:.6g}")
 
 
 def residual_at(kind: EquationKind, sset: SolitonSet, medium: Medium,
@@ -120,7 +127,7 @@ def residual_at(kind: EquationKind, sset: SolitonSet, medium: Medium,
     """Left-hand side of the selected equation at one point; mKdV in its
     real form, -i times the Hirota residual."""
     kind.check_medium(medium)
-    _check_coefficients(medium)
+    _check_range(sset, medium)
     d = analytic_derivatives_grid(sset, medium,
                                   np.asarray(pt.x), np.asarray(pt.t))
     value = complex(_residual_arrays(medium, d))
@@ -136,7 +143,7 @@ def residual_report(kind: EquationKind, sset: SolitonSet, medium: Medium,
     ties break to lowest x, then lowest t.
     """
     kind.check_medium(medium)
-    _check_coefficients(medium)
+    _check_range(sset, medium)
     xs = grid.xs()
     ts = grid.ts()
     # with sigma = 0 the residual has no psi_xxx term, which is then not

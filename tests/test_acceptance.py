@@ -169,16 +169,25 @@ def test_criterion_5_limit_reductions():
 def test_criterion_6_additivity():
     sset = random_admissible_set(2, 106)
     worst = 0.0
+    worst_rec = 0.0
     invariant = True
     for a, b in ((1.0, 0.0), (0.0, 1.0), (2.0, 3.0), (0.5, 5.0)):
         rep = additivity_instance(sset, 8.0, 1.0, 1.0, a, b, HALF_GRID)
         worst = max(worst, rep.max_rel)
         invariant &= scaling_invariance_check(sset, 8.0, 1.0, 1.0, a, b,
                                               trials=100, seed=42)
-    ok = worst <= 1e-8 and invariant
+        # the series of the combined medium closes the hierarchy at every
+        # order: additivity at series level
+        combined = Medium(rho=a * 1.0, sigma=b * 1.0, lam=8.0)
+        worst_rec = max(worst_rec, *(
+            recursion_residual(sset, combined, SpaceTimePoint(0.4, -0.3), n)
+            for n in range(1, 9)))
+    ok = worst <= 1e-8 and invariant and worst_rec <= 1e-12
     verdict("criterion 6 (additivity instances)", ok,
             f"worst max_rel={worst:.3e} (<=1e-8); "
-            f"coefficient-ratio invariance over 100 tuples each: {invariant}")
+            f"coefficient-ratio invariance over 100 tuples each: {invariant}; "
+            f"recursion n<=8 in each combined medium={worst_rec:.3e} "
+            f"(<=1e-12)")
     assert ok
 
 
@@ -196,10 +205,20 @@ def test_criterion_7_cross_representation():
             sset = random_admissible_set(n, 110 + n)
             worst_rec = max(worst_rec, recursion_residual(
                 sset, MEDIUM, SpaceTimePoint(0.4, -0.3), order))
-    ok = worst_cross <= 1e-12 and worst_rec <= 1e-10
+    # every order n <= 8, N <= 5, in the Hirota, NLS, mKdV and a mixed medium
+    worst_all = 0.0
+    for medium in (MEDIUM, Medium(1.0, 0.0, 2.0), Medium(0.0, 1.3, 4.0),
+                   Medium(0.7, 0.2, 1.0)):
+        for n in range(1, 6):
+            sset = random_admissible_set(n, 120 + n)
+            worst_all = max(worst_all, *(recursion_residual(
+                sset, medium, SpaceTimePoint(-0.3, 0.2), order)
+                for order in range(1, 9)))
+    ok = worst_cross <= 1e-12 and worst_rec <= 1e-10 and worst_all <= 1e-12
     verdict("criterion 7 (multi-sum vs trace)", ok,
             f"third-order crosscheck={worst_cross:.3e} (<=1e-12); "
-            f"hierarchy recursion={worst_rec:.3e} (<=1e-10)")
+            f"hierarchy recursion={worst_rec:.3e} (<=1e-10); "
+            f"every order n<=8, N<=5, 4 media={worst_all:.3e} (<=1e-12)")
     assert ok
 
 

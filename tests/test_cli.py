@@ -328,6 +328,30 @@ def test_non_finite_residual_report_is_an_error(tmp_path, capsys,
                             "hirota residual report\n")
 
 
+def test_tiny_coupling_residual_is_an_error(tmp_path, capsys):
+    # the bound 8 (Re p)^2 / lambda on |psi|^2 is not a double, so residual
+    # stops before it evaluates (the suite turns any RuntimeWarning into an
+    # error); field on the same config evaluates, and its peak
+    # sqrt(8 / lambda) Re p is on the grid
+    cfg = dict(CANONICAL, medium={"rho": 1.0, "sigma": 1.0,
+                                  "lambda": 3e-308},
+               solitons=[{"p": [1.0, 0.3], "a0": [1.0, 0.0]}],
+               grid={"x": [165.0, 195.0, 31], "t": [-0.5, 0.5, 5]})
+    path = write_cfg(tmp_path, cfg)
+    assert main(["residual", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the bound (8/lambda) (sum Re p)^2 on "
+                            "|psi|^2 leaves double range for lambda = "
+                            "3e-308\n")
+    assert main(["field", "--config", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    peak = max(float(r.split(",")[4])
+               for r in captured.out.strip().splitlines()[1:])
+    assert peak == pytest.approx(math.sqrt(8) / math.sqrt(3e-308), rel=1e-2)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_field_out_into_missing_directory_is_an_error(tmp_path, capsys, fmt):
     path = write_cfg(tmp_path, soliton_config(2, 5))
@@ -571,6 +595,25 @@ class TestConsoleScript:
             capture_output=True, text=True)
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr.startswith("error: residual coefficients")
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("cfg, point, order", [
+        (dict(TWO_SOLITON, medium={"rho": 1.0, "sigma": 1.0,
+                                   "lambda": 5e144}), "-3,-0.3", 3),
+        (dict(CANONICAL, solitons=[{"p": [1.0, 0.0], "a0": [1.0, 0.0]}]),
+         "100,0", 2),
+    ], ids=["huge-coupling", "far-field"])
+    def test_overflowing_series_is_one_error_line(self, tmp_path, cfg, point,
+                                                  order):
+        # the series leaves double range: no traceback, no NumPy warning,
+        # and no Infinity or NaN in a JSON report
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "hirota_trace.cli", "series", "--config",
+             write_cfg(tmp_path, cfg), f"--point={point}"],
+            capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith(f"error: order-{order} series term")
         assert proc.stderr.count("\n") == 1
 
     def test_determinism(self, canonical_path):

@@ -24,7 +24,6 @@ from hirota_trace import (
     compiled,
     dispersion,
     eval_psi_closed,
-    eval_psi_series,
     general_dispersion,
     one_soliton_closed,
     one_soliton_envelope_shift,
@@ -174,7 +173,7 @@ class TestSeries:
     def test_tail_convergence_to_closed(self):
         pt = SpaceTimePoint(-1.0, 0.0)
         closed = eval_psi_closed(CANON_SET, CANON_MEDIUM, pt)
-        approx = eval_psi_series(CANON_SET, CANON_MEDIUM, pt, 20)
+        approx = series_partial_sums(CANON_SET, CANON_MEDIUM, pt, 20)[-1]
         assert abs(approx - closed) <= 1e-14 * abs(closed)
 
     def test_geometric_ratio_matches_q(self):
@@ -191,6 +190,39 @@ class TestSeries:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             series_partial_sums(CANON_SET, CANON_MEDIUM, ORIGIN, -1)
+
+    def test_empty_set(self):
+        sums = series_partial_sums(SolitonSet(()), CANON_MEDIUM, ORIGIN, 4)
+        assert sums.tolist() == [0j] * 5
+
+    @pytest.mark.parametrize("sset, lam, pt, order", [
+        (SolitonSet.from_pairs([(0.5 + 0.2j, 1.0 + 0.2j),
+                                (1.2 - 0.3j, 0.8 - 0.5j)]),
+         5e144, SpaceTimePoint(-3.0, -0.3), 3),
+        (SolitonSet.from_pairs([(1.0, 1.0)]), 8.0,
+         SpaceTimePoint(100.0, 0.0), 2),
+    ], ids=["huge-coupling", "far-field"])
+    def test_overflowing_partial_sum_raises(self, sset, lam, pt, order):
+        # (lam/8)^n is never formed, so the terms stay finite until the
+        # series itself leaves double range; no warning before the raise
+        with pytest.raises(FieldOverflowError, match=f"order-{order} "):
+            series_partial_sums(sset, Medium(1, 1, lam), pt, 20)
+        assert np.isfinite(series_partial_sums(sset, Medium(1, 1, lam), pt,
+                                               order - 1)).all()
+
+    def test_unit_coupling_matches_matrix_powers_bit_for_bit(self):
+        # lam = 8 makes -lam/8 = -1, so the chain's terms are those of
+        # (D conj(D))^n with alternating signs, bit for bit
+        sset = random_admissible_set(3, 12)
+        pt = SpaceTimePoint(-1.5, 0.2)
+        D = build_D(sset, CANON_MEDIUM, pt)
+        term = build_Bx(sset, CANON_MEDIUM, pt)
+        want = []
+        for n in range(8):
+            want.append((-1) ** n * np.trace(term))
+            term = term @ (D @ D.conj())
+        got = series_partial_sums(sset, CANON_MEDIUM, pt, 7)
+        assert got.tolist() == np.cumsum(want).tolist()
 
 
 class TestSpectralRadius:

@@ -1,6 +1,7 @@
 """Tests for exact rational arithmetic, the combinatorial identities, and
 the multi-sum/trace cross-checks."""
 
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -14,14 +15,19 @@ from hirota_trace import (
     Soliton,
     SolitonSet,
     SpaceTimePoint,
+    analytic_derivatives,
     identity_cubic,
     identity_quadratic,
     psi3_crosscheck,
+    random_admissible_set,
     recursion_residual,
     run_identity_suite,
+    spectral_radius_q,
 )
 from hirota_trace import identities
+from hirota_trace.core import _series_jets
 from hirota_trace.identities import _psi_term
+from hirota_trace.trace_engine import _ALL_ORDERS, _NAMES
 
 MEDIUM = Medium(rho=1.0, sigma=1.0, lam=8.0)
 CANON = SolitonSet((Soliton(p=1 + 0j, a0=complex(math.sqrt(2.0))),))
@@ -224,14 +230,12 @@ class TestCrossRepresentation:
 
     @pytest.mark.parametrize("n,seed", [(1, 41), (2, 42), (3, 43)])
     def test_triple_sum_vs_trace(self, n, seed):
-        from hirota_trace import random_admissible_set
         sset = random_admissible_set(n, seed)
         direct, trace = psi3_crosscheck(sset, MEDIUM,
                                         SpaceTimePoint(-0.4, 0.3))
         assert abs(direct - trace) <= 1e-12 * max(1.0, abs(trace))
 
     def test_multisum_permutation_symmetry(self):
-        from hirota_trace import random_admissible_set
         sset = random_admissible_set(2, 44)
         swapped = SolitonSet(sset.solitons[::-1])
         pt = SpaceTimePoint(0.2, -0.1)
@@ -240,15 +244,80 @@ class TestCrossRepresentation:
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 
+#: the media of the every-order recursion checks: Hirota, NLS, mKdV and a
+#: mixed one, as (rho, sigma, lam)
+MEDIA = [Medium(1.0, 1.0, 8.0), Medium(1.0, 0.0, 2.0), Medium(0.0, 1.3, 4.0),
+         Medium(0.7, 0.2, 1.0)]
+
+
+class TestJetChain:
+    @pytest.mark.parametrize("nsol", [1, 2, 3])
+    def test_terms_match_multisum(self, nsol):
+        # the chain's (0, 0) jets against the multi-sum, for n <= 2
+        sset = random_admissible_set(nsol, 60 + nsol)
+        pt = SpaceTimePoint(0.3, -0.2)
+        jets = _series_jets(sset, MEDIUM, pt, 2, _ALL_ORDERS)
+        for n in range(3):
+            want = _psi_term(sset, MEDIUM, pt, n)
+            assert abs(jets[n, 0] - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("nsol", [1, 2, 3, 4, 5])
+    def test_summed_jets_match_cauchy_binet_engine(self, nsol):
+        # summed over n <= 60 where q <= 0.3, each jet is that order's
+        # derivative of psi, which the compiled engine gives independently
+        rng = np.random.default_rng(70 + nsol)
+        for medium in MEDIA:
+            sset = random_admissible_set(nsol, rng)
+            t = float(rng.uniform(-0.5, 0.5))
+            pt = next(SpaceTimePoint(float(x), t)
+                      for x in np.arange(-0.5, -12.0, -0.5)
+                      if spectral_radius_q(sset, medium,
+                                           SpaceTimePoint(float(x), t)) <= 0.3)
+            jets = _series_jets(sset, medium, pt, 60, _ALL_ORDERS).sum(axis=0)
+            exact = analytic_derivatives(sset, medium, pt).as_dict()
+            for order, got in zip(_ALL_ORDERS, jets):
+                want = exact[_NAMES[order]]
+                assert abs(got - want) <= 1e-12 * abs(want), (medium, order)
+
+
 class TestRecursion:
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("nsol,seed", [(1, 51), (2, 52)])
     def test_hierarchy_member(self, n, nsol, seed):
-        from hirota_trace import random_admissible_set
         sset = random_admissible_set(nsol, seed)
         res = recursion_residual(sset, MEDIUM, SpaceTimePoint(0.3, -0.2), n)
         assert res <= 1e-10
 
-    def test_order_cap(self):
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_order_below_one_rejected(self, n):
         with pytest.raises(ValueError):
-            recursion_residual(CANON, MEDIUM, SpaceTimePoint(0.0, 0.0), 3)
+            recursion_residual(CANON, MEDIUM, SpaceTimePoint(0.0, 0.0), n)
+
+    @pytest.mark.parametrize("medium", MEDIA, ids=["hirota", "nls", "mkdv",
+                                                   "mixed"])
+    def test_every_order_every_medium(self, medium):
+        # every order n <= 12, past the old n <= 2 cap
+        worst = 0.0
+        for nsol in range(1, 6):
+            sset = random_admissible_set(nsol, 80 + nsol)
+            for pt in (SpaceTimePoint(-0.8, 0.3), SpaceTimePoint(0.4, -0.3)):
+                worst = max(worst, *(recursion_residual(sset, medium, pt, n)
+                                     for n in range(1, 13)))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("field", ["lam", "rho", "sigma"])
+    def test_one_percent_medium_error_fails_every_order(self, monkeypatch,
+                                                        field):
+        # the jets are built in MEDIUM, the recursion is read in a medium
+        # with one parameter off by 1 %
+        sset = random_admissible_set(2, 54)
+        pt = SpaceTimePoint(0.3, -0.2)
+        chain = identities._series_jets
+        monkeypatch.setattr(
+            identities, "_series_jets",
+            lambda s, medium, point, n, orders: chain(s, MEDIUM, point, n,
+                                                      orders))
+        wrong = dataclasses.replace(MEDIUM,
+                                    **{field: 1.01 * getattr(MEDIUM, field)})
+        assert min(recursion_residual(sset, wrong, pt, n)
+                   for n in range(1, 9)) > 1e-6
