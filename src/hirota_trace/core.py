@@ -5,7 +5,7 @@ The field is built from exponential modes
     phi_k(x, t) = a0_k * exp(p_k * x - Omega_k * t),
     Omega_k     = -2i * rho * p_k**2 + 4 * sigma * p_k**3,
 
-assembled into the matrices B, D, B_x and summed into the closed resolvent
+assembled into the matrices D, B_x and summed into the closed resolvent
 form  psi = tr[B_x (I + (lambda/8) D conj(D))^{-1}].
 """
 
@@ -203,11 +203,6 @@ def dispersion(p: complex, medium: Medium) -> complex:
     return -2j * medium.rho * p * p + 4 * medium.sigma * p * p * p
 
 
-def general_dispersion(lp: DispersionPoly, p: complex) -> complex:
-    """Frequency of a mode under an arbitrary linear symbol: (1/2) L_p(2p)."""
-    return 0.5 * lp(2 * p)
-
-
 def phi(s: Soliton, medium: Medium, pt: SpaceTimePoint) -> complex:
     """Exponential mode a0 * exp(p*x - Omega*t)."""
     arg = s.p * pt.x - dispersion(s.p, medium) * pt.t
@@ -215,17 +210,6 @@ def phi(s: Soliton, medium: Medium, pt: SpaceTimePoint) -> complex:
         raise FieldOverflowError(
             f"mode exponent Re={arg.real:.3g} outside double range at {pt}")
     return s.a0 * cmath.exp(arg)
-
-
-def _phis(sset: SolitonSet, medium: Medium, pt: SpaceTimePoint) -> np.ndarray:
-    return np.array([phi(s, medium, pt) for s in sset.solitons], dtype=complex)
-
-
-def build_B(sset: SolitonSet, medium: Medium, pt: SpaceTimePoint) -> np.ndarray:
-    """Symmetric matrix B_mn = phi_m * phi_n / (p_m + p_n)."""
-    p = sset.p
-    ph = _phis(sset, medium, pt)
-    return np.outer(ph, ph) / (p[:, None] + p[None, :])
 
 
 def _pair_denominators(sset: SolitonSet) -> tuple[np.ndarray, float]:
@@ -265,8 +249,8 @@ def build_D(sset: SolitonSet, medium: Medium, pt: SpaceTimePoint) -> np.ndarray:
 
 
 def build_Bx(sset: SolitonSet, medium: Medium, pt: SpaceTimePoint) -> np.ndarray:
-    """x-derivative of B; its (m, n) entry is simply phi_m * phi_n."""
-    ph = _phis(sset, medium, pt)
+    """x-derivative of B_mn = phi_m phi_n / (p_m + p_n): phi_m * phi_n."""
+    ph = np.array([phi(s, medium, pt) for s in sset.solitons], dtype=complex)
     return np.outer(ph, ph)
 
 

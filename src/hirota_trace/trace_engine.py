@@ -34,24 +34,25 @@ the real part is taken.  The resulting evaluator is
   * trivially differentiable: every term is a pure exponential, so each
     x- or t-derivative just multiplies term j by G_j or -H_j.
 
-On a tensor grid (x and t ascending along different axes) each term
-splits as exp(G_j x) times exp(-H_j t).  The grid is cut into tiles; each
-tile takes s, the log of its largest term, at its centre (x_c, t_c),
-computes exp(log Gamma_j + G_j x_c - H_j t_c - s) over terms (real part at
-most 0, so it cannot overflow), exp(G_j (x - x_c)) over terms by tile-x and
-exp(-H_j (t - t_c)) over terms by tile-t, and forms all requested jets in
-one BLAS product, with the derivative weights G^i H^l on the small t-side
-factor.  The tile extents keep the scale inside a tile within TILE_SPREAD
-of s, so working memory grows with the output, not with terms by points.
-Every other point set goes through the same tiles: it is evaluated on the
-unique sorted values of x and of t (as one grid, or one x axis per distinct
-t when that grid would have more cells than there are points) and gathered
-back.  The pass that sums f decides which points are degenerate: those
-where the summation condition number kappa_f = sum_j |term_j| / |f|
-exceeds 1 / CANCEL_TOL.  One iterator yields the tiles: the evaluation
-methods gather them into arrays over the whole point set, and the residual
-report reduces each tile while it is in cache, so its working memory does
-not grow with the grid.
+On a tensor grid of sorted x by sorted t each term splits as exp(G_j x)
+times exp(-H_j t).  The grid is cut into tiles; each tile takes s, the log
+of its largest term, at its centre (x_c, t_c), computes
+exp(log Gamma_j + G_j x_c - H_j t_c - s) over terms (real part at most 0,
+so it cannot overflow), exp(G_j (x - x_c)) over terms by tile-x and, per
+requested jet, its derivative weights G^i H^l times exp(-H_j (t - t_c))
+over terms by tile-t.  Each jet is then its own BLAS product of one shape,
+so its bits do not depend on which other jets are requested.  The tile
+extents keep the scale inside a tile within TILE_SPREAD of s, so working
+memory grows with the output, not with terms by points.  Every point set
+goes down one route: it is evaluated on the unique sorted values of x and
+of t (as one grid, or one x axis per distinct t when that grid would have
+more cells than there are points) and gathered back, so a grid has the
+same bits in any layout.  The pass that sums f decides which points are
+degenerate: those where the summation condition number
+kappa_f = sum_j |term_j| / |f| exceeds 1 / CANCEL_TOL.  One iterator yields
+the tiles: the evaluation methods gather them into arrays over the whole
+point set, and the residual report reduces each tile while it is in cache,
+so its working memory does not grow with the grid.
 
 This module is the evaluation engine behind grid fields, analytic
 derivatives, and therefore all residual checks.
@@ -137,11 +138,6 @@ class _ExponentialSum:
         log_a0, self.xrate, self.trate = (a @ modes + b @ modes.conj()).T
         self.log_coef = log_gamma + log_a0
 
-    def _weights(self, orders: list[tuple[int, int]]) -> np.ndarray:
-        """Derivative weights G^i H^l, terms by orders."""
-        return np.stack([self.xrate ** i * self.trate ** l
-                         for i, l in orders], axis=1)
-
     def tile_jets(self, xs: np.ndarray, ts: np.ndarray, x_tiles: list,
                   t_tiles: list, orders: list[tuple[int, int]],
                   abs_sum: bool = False):
@@ -151,9 +147,13 @@ class _ExponentialSum:
         Yields (xsl, tsl, jets, s, total) per tile: jets[(i, l)] of shape
         (tile nx, tile nt) scaled by exp(-s), s the log of the largest term
         at the tile centre (-inf for an empty sum), and, if ``abs_sum`` is
-        set, sum_j |term_j| on the same scale.
+        set, sum_j |term_j| on the same scale.  Each jet is its own BLAS
+        product of one shape, so its bits do not depend on which other
+        orders are requested.
         """
-        weights = self._weights(orders)
+        # derivative weights G^i H^l, orders by terms
+        weights = np.stack([self.xrate ** i * self.trate ** l
+                            for i, l in orders])
 
         def x_side(xsl):
             xc = _centre(xs, xsl)
@@ -168,13 +168,13 @@ class _ExponentialSum:
             et = np.exp(np.multiply.outer(self.trate, dt))
             mag = np.exp(np.multiply.outer(self.trate.real, dt)) \
                 if abs_sum else None
-            # the derivative weights ride on the t side
-            right = (weights[:, :, None] * et[:, None, :]).reshape(
-                len(et), len(orders) * len(dt))
+            # the derivative weights ride on the t side, one factor (terms
+            # by tile nt) per order
+            right = weights[:, :, None] * et
             if self.real:
-                # rows (Re, -Im) of one real GEMM over 2 * terms, whose
-                # product is the real part of the sum
-                right = np.concatenate((right.real, -right.imag))
+                # rows (Re, -Im): each order's real product over
+                # 2 * terms is the real part of its sum
+                right = np.concatenate((right.real, -right.imag), axis=1)
             return tsl, tc, right, mag
 
         # one side is computed once and kept, the other once per tile row:
@@ -192,11 +192,10 @@ class _ExponentialSum:
             coef = np.exp(centre - s + self.log_coef)
             left = left * coef
             if self.real:
-                sums = np.concatenate((left.real, left.imag), axis=1) @ right
-            else:
-                sums = left @ right
-            sums = sums.reshape(len(left), len(orders), -1)
-            jets = {o: sums[:, k] for k, o in enumerate(orders)}
+                left = np.concatenate((left.real, left.imag), axis=1)
+            # one product per order: (orders, tile nx, tile nt)
+            sums = left @ right
+            jets = dict(zip(orders, sums))
             total = (xmag * np.abs(coef)) @ tmag if abs_sum else None
             yield xsl, tsl, jets, s, total
 
@@ -262,24 +261,6 @@ def _tiles(v: np.ndarray, rate: float):
         stop = max(stop, start + 1)
         yield slice(start, stop)
         start = stop
-
-
-def _tensor_axes(x: np.ndarray, t: np.ndarray, shape: tuple
-                 ) -> tuple[np.ndarray, np.ndarray, bool] | None:
-    """(xs, ts, flip) when x and t vary along different axes of a result of
-    at most two dimensions, each in ascending order, else None.  The
-    (len(xs), len(ts)) grid reshapes to ``shape``, or transposes to it when
-    ``flip`` is set."""
-    if len(shape) > 2:
-        return None
-    x = x.reshape((1,) * (len(shape) - x.ndim) + x.shape)
-    t = t.reshape((1,) * (len(shape) - t.ndim) + t.shape)
-    if any(a > 1 and b > 1 for a, b in zip(x.shape, t.shape)):
-        return None
-    xs, ts = x.ravel(), t.ravel()
-    if not (np.all(xs[:-1] <= xs[1:]) and np.all(ts[:-1] <= ts[1:])):
-        return None
-    return xs, ts, len(shape) == 2 and x.shape[1] > 1 and t.shape[0] > 1
 
 
 def _require_finite(xs: np.ndarray, ts: np.ndarray) -> None:
@@ -353,21 +334,15 @@ class CompiledSolution:
         """Named jets for ``orders`` and f's cancellation mask on
         broadcastable x, t, every one from _tiled.
 
-        Ascending axes and scalars are evaluated as they are.  Any other
-        point set is evaluated on the unique sorted values of x and of t and
-        gathered: on the grid of unique x by unique t when it has no more
-        cells than there are points, else on one x axis per distinct t.
-        Either way no more grid cells are evaluated than points requested.
+        Every point set is evaluated on the unique sorted values of x and
+        of t and gathered: on the grid of unique x by unique t when it has
+        no more cells than there are points, else on one x axis per
+        distinct t.  Either way no more grid cells are evaluated than
+        points requested.
         """
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
         shape = np.broadcast(x, t).shape
-        axes = _tensor_axes(x, t, shape)
-        if axes is not None:
-            xs, ts, flip = axes
-            _require_finite(xs, ts)
-            return {k: v.T if flip else v.reshape(shape)
-                    for k, v in self._tiled(xs, ts, orders).items()}
         # NumPy versions differ on the shape of the inverse
         xs, xi = np.unique(x, return_inverse=True)
         ts, ti = np.unique(t, return_inverse=True)
@@ -375,7 +350,8 @@ class CompiledSolution:
         xi, ti = np.broadcast_arrays(xi.reshape(x.shape),
                                      ti.reshape(t.shape))
         if len(xs) * len(ts) <= xi.size:
-            return {k: v[xi, ti]
+            # the Ellipsis keeps a scalar point a 0-d array
+            return {k: v[xi, ti, ...]
                     for k, v in self._tiled(xs, ts, orders).items()}
         # the distinct (x, t) cells in t-major order, in runs of one t
         cells, inverse = np.unique(ti * len(xs) + xi, return_inverse=True)
@@ -426,21 +402,16 @@ class CompiledSolution:
                 f"[{ts[0]:.6g}, {ts[-1]:.6g}]")
 
     def _tile_iter(self, xs: np.ndarray, ts: np.ndarray,
-                   orders: list[tuple[int, int]],
-                   solve: list[tuple[int, int]] | None = None):
+                   orders: list[tuple[int, int]]):
         """Tiled separable evaluation on the sorted tensor grid xs by ts.
 
         Cuts the tiles and checks their range (FieldOverflowError) before
         the first tile, then yields (xsl, tsl, jets, bad) per tile: the
-        tile's slices of xs and ts, psi's named jets as arrays of the
-        tile's shape, and the tile's mask of degenerate points, where every
-        jet is NaN.  The tile products form f's and g's jets for ``orders``,
-        and psi's are solved for ``solve`` (default ``orders``), a subset
-        that _check_orders accepts.  BLAS may round a column of a product
-        differently when the product is narrower, so a caller that needs
-        fewer jets and the same bits passes them as ``solve``.
+        tile's slices of xs and ts, psi's jets for ``orders`` by name as
+        arrays of the tile's shape, and the tile's mask of degenerate
+        points, where every jet is NaN.  Each jet's bits are those of any
+        other request that holds its order.
         """
-        solve = orders if solve is None else solve
         x_tiles, t_tiles = self._tile_slices(xs, ts)
         self._check_range(xs, ts, x_tiles, t_tiles)
         f_tiles = self._f.tile_jets(xs, ts, x_tiles, t_tiles, orders,
@@ -450,10 +421,9 @@ class CompiledSolution:
                                                                  g_tiles):
             bad = np.abs(fj[(0, 0)]) < CANCEL_TOL * total
             jets = {_NAMES[o]: np.empty(bad.shape, dtype=complex)
-                    for o in solve}
+                    for o in orders}
             with np.errstate(invalid="ignore", divide="ignore"):
-                _ratio_jets({o: fj[o] for o in solve}, gj, np.exp(sg - sf),
-                            jets)
+                _ratio_jets(fj, gj, np.exp(sg - sf), jets)
             if bad.any():
                 for v in jets.values():
                     v[bad] = np.nan

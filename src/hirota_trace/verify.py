@@ -147,17 +147,16 @@ def residual_report(kind: EquationKind, sset: SolitonSet, medium: Medium,
     xs = grid.xs()
     ts = grid.ts()
     # with sigma = 0 the residual has no psi_xxx term, which is then not
-    # solved for; f's and g's products keep all five jets, so that every
-    # other jet keeps its bits
-    solve = [o for o in _ALL_ORDERS if medium.sigma or o != (3, 0)]
+    # formed
+    orders = [o for o in _ALL_ORDERS if medium.sigma or o != (3, 0)]
     # the largest (is NaN, |residual|, -ix, -it) seen, so that NaN wins
     # as in np.argmax and ties break to lowest x, then lowest t
     best = (False, -np.inf, 0, 0)
     sumsq = 0.0
     normalizer = 0.0
     n_good = 0
-    for xsl, tsl, jets, bad in compiled(sset, medium)._tile_iter(
-            xs, ts, _ALL_ORDERS, solve):
+    for xsl, tsl, jets, bad in compiled(sset, medium)._tile_iter(xs, ts,
+                                                                 orders):
         # flat indices of the tile's good points, None when all are good
         index = np.flatnonzero(~bad) if bad.any() else None
         if index is not None and not len(index):

@@ -50,8 +50,8 @@ _X, _T = np.meshgrid(np.linspace(-6, 6, 25), np.linspace(-2, 2, 9),
                      indexing="ij")
 _SHUFFLE = np.random.default_rng(5).permutation(_X.size)
 _RNG = np.random.default_rng(6)
-#: point sets of every shape the engine accepts: ascending axes and scalars,
-#: evaluated as they are, and sets gathered from unique coordinates
+#: point sets of every shape the engine accepts, each gathered from the
+#: unique values of its coordinates
 POINT_SETS = {
     "1x1": (np.array([[0.3]]), np.array([[-0.2]])),
     "nx1": (np.array([[1.5]]), np.linspace(-2, 2, 9)[None, :]),
@@ -298,6 +298,75 @@ class TestGatheredPointSets:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2 ** 20
+
+
+#: the order subsets whose jets must carry the bits of the all-orders call
+SUBSET_ORDERS = [[(0, 0), (1, 0)], [(0, 0), (1, 0), (2, 0)],
+                 [(0, 0), (0, 1)], [(0, 0), (1, 0), (2, 0), (0, 1)]]
+
+
+def _bits_differ(got: np.ndarray, want: np.ndarray) -> int:
+    """Number of values whose bytes differ between two arrays of one shape
+    and dtype."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    a = np.ascontiguousarray(got).view(np.uint8).reshape(got.size, -1)
+    b = np.ascontiguousarray(want).view(np.uint8).reshape(want.size, -1)
+    return int(np.count_nonzero((a != b).any(axis=1)))
+
+
+def _acceptance_axes(n: int) -> tuple:
+    """The engine of random_admissible_set(n, 100 + n) and the axes of the
+    401 x 201 acceptance grid."""
+    engine = compiled(random_admissible_set(n, 100 + n), MEDIUM)
+    return engine, FULL_GRID.xs()[:, None], FULL_GRID.ts()[None, :]
+
+
+class TestOneProductPerJet:
+    """Every jet is its own tile product on the same gathered grid, so its
+    bits do not depend on the other orders requested or on the layout of
+    the points."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_psi_equals_derivatives_psi(self, n):
+        engine, x, t = _acceptance_axes(n)
+        psi = engine.psi(x, t, check_degenerate=False)
+        full = engine.derivatives(x, t, check_degenerate=False)
+        assert _bits_differ(psi, full["psi"]) == 0
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_order_subsets_equal_all_orders_call(self, n):
+        engine, x, t = _acceptance_axes(n)
+        full = engine.derivatives(x, t, check_degenerate=False)
+        for orders in SUBSET_ORDERS:
+            part = engine.derivatives(x, t, orders=orders,
+                                      check_degenerate=False)
+            assert len(part) == len(orders) + 1
+            for key, v in part.items():
+                assert _bits_differ(v, full[key]) == 0, (orders, key)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_xy_meshgrid_equals_transposed_axes_call(self, n):
+        engine, x, t = _acceptance_axes(n)
+        X, T = np.meshgrid(x.ravel(), t.ravel(), indexing="xy")
+        mesh = engine.derivatives(X, T, check_degenerate=False)
+        axes = engine.derivatives(x, t, check_degenerate=False)
+        t_major = engine.derivatives(x.T, t.T, check_degenerate=False)
+        for key, v in axes.items():
+            assert _bits_differ(mesh[key], v.T) == 0, key
+            assert _bits_differ(t_major[key], v.T) == 0, key
+
+    @pytest.mark.parametrize("x,t", [(0.4, 1.1),
+                                     (np.asarray(0.4), np.asarray(1.1))],
+                             ids=["float", "0-d"])
+    def test_scalar_point_gives_0d_arrays(self, x, t):
+        engine = compiled(random_admissible_set(3, 103), MEDIUM)
+        values = {"psi": engine.psi(x, t),
+                  "degenerate_mask": engine.degenerate_mask(x, t)}
+        values.update(engine.derivatives(x, t))
+        assert set(values) == {"psi", "degenerate_mask", "degenerate",
+                               *NAMES}
+        for key, v in values.items():
+            assert type(v) is np.ndarray and v.shape == (), key
 
 
 class TestCoordinateGuards:
