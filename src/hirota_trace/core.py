@@ -6,7 +6,11 @@ The field is built from exponential modes
     Omega_k     = -2i * rho * p_k**2 + 4 * sigma * p_k**3,
 
 assembled into the matrices D, B_x and summed into the closed resolvent
-form  psi = tr[B_x (I + (lambda/8) D conj(D))^{-1}].
+form  psi = tr[B_x (I + (lambda/8) D conj(D))^{-1}].  One builder,
+_point_matrices, forms the modes, B_x and D at a stack of points for the
+closed form, the series chain and the spectral radius alike; it raises
+FieldOverflowError where a mode exponent leaves double range and where the
+entries of (lambda/8) D conj(D) would.
 """
 
 from __future__ import annotations
@@ -212,46 +216,37 @@ def phi(s: Soliton, medium: Medium, pt: SpaceTimePoint) -> complex:
     return s.a0 * cmath.exp(arg)
 
 
-def _pair_denominators(sset: SolitonSet) -> tuple[np.ndarray, float]:
-    """The denominators p_m + conj(p_n) of D and their least modulus,
-    which SolitonSet keeps at least DENOM_TOL."""
-    p = sset.p
-    denom = p[:, None] + p.conj()[None, :]
-    return denom, float(np.abs(denom).min())
+def _point_matrices(sset: SolitonSet, medium: Medium,
+                    pts: Sequence[SpaceTimePoint]
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """B_x and D of a nonempty set at each of pts, stacked (points, N, N):
+    the one place the modes phi_k are formed at points.
 
-
-def _bounded_phis(sset: SolitonSet, medium: Medium, pt: SpaceTimePoint,
-                  dmin: float) -> list[complex]:
-    """The modes phi_k at pt, raising FieldOverflowError where the entries
-    of (lam/8) D conj(D) would leave double range (see build_D)."""
-    ph = [phi(s, medium, pt) for s in sset.solitons]
-    top = max(map(abs, ph))
-    if top and (4 * math.log(top) - 2 * math.log(dmin) + math.log(len(sset))
-                + _log_coupling(medium.lam)) > EXP_LIMIT:
-        raise FieldOverflowError(
-            f"D conj(D) entries outside double range at {pt}")
-    return ph
-
-
-def build_D(sset: SolitonSet, medium: Medium, pt: SpaceTimePoint) -> np.ndarray:
-    """Matrix D_mn = phi_m * conj(phi_n) / (p_m + conj(p_n)).
-
-    Every use forms (lam/8) D conj(D), whose entries grow like the fourth
-    power of the modes, so EXP_LIMIT bounds the log of their upper bound
-    (lam/8) n max|phi|^4 / min|p_m + conj(p_n)|^2, not only each mode's
-    exponent as in phi(); past it FieldOverflowError is raised.
+    B_x,mn = phi_m phi_n is the x-derivative of B_mn = phi_m phi_n /
+    (p_m + p_n), and D_mn = phi_m conj(phi_n) / (p_m + conj(p_n)).  Two range
+    checks raise FieldOverflowError at the first point that fails: phi's on
+    each mode exponent, and, since every reader forms (lam/8) D conj(D),
+    whose entries grow like the fourth power of the modes, EXP_LIMIT on the
+    log of their bound (lam/8) N max|phi|^4 / min|p_m + conj(p_n)|^2.
     """
-    if not len(sset):
-        return np.zeros((0, 0), complex)
-    denom, dmin = _pair_denominators(sset)
-    ph = np.array(_bounded_phis(sset, medium, pt, dmin))
-    return np.outer(ph, ph.conj()) / denom
-
-
-def build_Bx(sset: SolitonSet, medium: Medium, pt: SpaceTimePoint) -> np.ndarray:
-    """x-derivative of B_mn = phi_m phi_n / (p_m + p_n): phi_m * phi_n."""
-    ph = np.array([phi(s, medium, pt) for s in sset.solitons], dtype=complex)
-    return np.outer(ph, ph)
+    p = sset.p
+    denom = p[:, None] + p.conj()
+    dmin = float(np.abs(denom).min())
+    rows = []
+    for pt in pts:
+        # phi's scalar products: NumPy's array product over the points would
+        # round by the length of the stack
+        modes = [phi(s, medium, pt) for s in sset.solitons]
+        top = max(map(abs, modes))
+        if top and (4 * math.log(top) - 2 * math.log(dmin)
+                    + math.log(len(sset)) + _log_coupling(medium.lam)
+                    ) > EXP_LIMIT:
+            raise FieldOverflowError(
+                f"D conj(D) entries outside double range at {pt}")
+        rows.append(modes)
+    ph = np.array(rows)
+    return (ph[:, :, None] * ph[:, None, :],
+            ph[:, :, None] * ph.conj()[:, None, :] / denom)
 
 
 def eval_psi_closed_stack(sset: SolitonSet, medium: Medium,
@@ -270,10 +265,7 @@ def eval_psi_closed_stack(sset: SolitonSet, medium: Medium,
     if not (len(sset) and len(pts)):
         return [0j] * len(pts)
     try:
-        denom, dmin = _pair_denominators(sset)
-        ph = np.array([_bounded_phis(sset, medium, pt, dmin) for pt in pts])
-        Bx = ph[:, :, None] * ph[:, None, :]
-        D = ph[:, :, None] * ph.conj()[:, None, :] / denom
+        Bx, D = _point_matrices(sset, medium, pts)
         M = np.eye(len(sset), dtype=complex) + (medium.lam / 8) * D @ D.conj()
         cond = np.linalg.cond(M)
         bad = ~np.isfinite(cond) | (cond > cond_limit)
@@ -323,9 +315,6 @@ def _series_jets(sset: SolitonSet, medium: Medium, pt: SpaceTimePoint,
     n, k = len(sset), len(orders)
     if not n:
         return np.zeros((max_order + 1, k), dtype=complex)
-    denom, dmin = _pair_denominators(sset)
-    ph = np.array(_bounded_phis(sset, medium, pt, dmin))
-    p, om = sset.p, np.array([dispersion(s.p, medium) for s in sset.solitons])
 
     def jet(a: np.ndarray, x_rate: np.ndarray,
             t_rate: np.ndarray) -> np.ndarray:
@@ -337,11 +326,16 @@ def _series_jets(sset: SolitonSet, medium: Medium, pt: SpaceTimePoint,
 
     terms = np.empty((max_order + 1, k), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        # conj(D) and its rates are the conjugates of D's, so is its jet
-        d_jet = jet(np.outer(ph, ph.conj()) / denom, denom,
-                    -(om[:, None] + om.conj()))
-        step = (-(medium.lam / 8) * d_jet) @ d_jet.conj()
-        term = jet(np.outer(ph, ph), p[:, None] + p, -(om[:, None] + om))
+        Bx, D = (m[0] for m in _point_matrices(sset, medium, [pt]))
+        if k > 1:
+            # the jet at order (0, 0) alone is the matrix itself; conj(D)
+            # and its rates are the conjugates of D's, so is its jet
+            p = sset.p
+            om = np.array([dispersion(s.p, medium) for s in sset.solitons])
+            D = jet(D, p[:, None] + p.conj(), -(om[:, None] + om.conj()))
+            Bx = jet(Bx, p[:, None] + p, -(om[:, None] + om))
+        step = (-(medium.lam / 8) * D) @ D.conj()
+        term = Bx
         for order in range(max_order + 1):
             terms[order] = np.trace(term[:, :n].reshape(k, n, n),
                                     axis1=1, axis2=2)
@@ -376,7 +370,7 @@ def spectral_radius_q(sset: SolitonSet, medium: Medium,
     """
     if not len(sset):
         return 0.0
-    D = build_D(sset, medium, pt)
+    D = _point_matrices(sset, medium, [pt])[1][0]
     X = (medium.lam / 8) * D @ D.conj()
     return float(np.abs(np.linalg.eigvals(X)).max())
 

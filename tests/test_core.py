@@ -18,11 +18,10 @@ from hirota_trace import (
     Soliton,
     SolitonSet,
     SpaceTimePoint,
-    build_Bx,
-    build_D,
     compiled,
     dispersion,
     eval_psi_closed,
+    eval_psi_closed_stack,
     one_soliton_closed,
     one_soliton_envelope_shift,
     phi,
@@ -35,6 +34,14 @@ CANON_MEDIUM = Medium(rho=1.0, sigma=1.0, lam=8.0)
 CANON_SOLITON = Soliton(p=1 + 0j, a0=complex(math.sqrt(2.0)))
 CANON_SET = SolitonSet((CANON_SOLITON,))
 ORIGIN = SpaceTimePoint(0.0, 0.0)
+
+
+def dense_matrices(sset, medium, pt):
+    """B_x = phi_m phi_n and D = phi_m conj(phi_n) / (p_m + conj(p_n)) at
+    pt, formed here from phi and the pair sums."""
+    ph = np.array([phi(s, medium, pt) for s in sset.solitons])
+    p = sset.p
+    return np.outer(ph, ph), np.outer(ph, ph.conj()) / (p[:, None] + p.conj())
 
 
 class TestMedium:
@@ -127,16 +134,20 @@ class TestMatrices:
     def test_one_by_one_entries(self):
         pt = SpaceTimePoint(-1.0, 0.0)
         f = phi(CANON_SOLITON, CANON_MEDIUM, pt)
-        D = build_D(CANON_SET, CANON_MEDIUM, pt)
-        Bx = build_Bx(CANON_SET, CANON_MEDIUM, pt)
+        Bx, D = dense_matrices(CANON_SET, CANON_MEDIUM, pt)
         # |phi|^2 / 2 = 2 e^{-2} / 2 = e^{-2}
         assert D[0, 0] == pytest.approx(math.exp(-2.0))
         assert Bx[0, 0] == pytest.approx(f * f)
+        # lam = 8: psi = B_x / (1 + D conj(D)) and q = D conj(D)
+        assert eval_psi_closed(CANON_SET, CANON_MEDIUM, pt) == pytest.approx(
+            Bx[0, 0] / (1 + abs(D[0, 0]) ** 2))
+        assert spectral_radius_q(CANON_SET, CANON_MEDIUM, pt) \
+            == pytest.approx(abs(D[0, 0]) ** 2)
 
     def test_empty_set(self):
         empty = SolitonSet(())
-        assert build_D(empty, CANON_MEDIUM, ORIGIN).shape == (0, 0)
         assert eval_psi_closed(empty, CANON_MEDIUM, ORIGIN) == 0j
+        assert spectral_radius_q(empty, CANON_MEDIUM, ORIGIN) == 0.0
 
 
 class TestClosedForm:
@@ -151,13 +162,30 @@ class TestClosedForm:
             assert got == pytest.approx(1.0 / math.cosh(2 * x), rel=1e-12)
             assert abs(got.imag) < 1e-14
 
-    def test_degenerate_point_rejected(self):
-        # far in the tail the resolvent conditioning blows past the limit
+    @staticmethod
+    def tail_set():
         rng = np.random.default_rng(5)
         p = rng.uniform(0.3, 1.5, 3) + 1j * rng.uniform(-1, 1, 3)
-        sset = SolitonSet.from_pairs((pk, 1 + 0j) for pk in p)
+        return SolitonSet.from_pairs((pk, 1 + 0j) for pk in p)
+
+    def test_degenerate_point_rejected(self):
+        # far in the tail the resolvent conditioning blows past the limit
         with pytest.raises(DegeneratePointError):
-            eval_psi_closed(sset, CANON_MEDIUM, SpaceTimePoint(30.0, 0.0))
+            eval_psi_closed(self.tail_set(), CANON_MEDIUM,
+                            SpaceTimePoint(30.0, 0.0))
+
+    def test_stack_raises_the_first_failing_points_error(self):
+        # x = 600 stops the stack with an overflowing mode; x = 30 before it
+        # is degenerate, and its own error is the one raised
+        sset = self.tail_set()
+        near, far = SpaceTimePoint(30.0, 0.0), SpaceTimePoint(600.0, 0.0)
+        with pytest.raises(FieldOverflowError, match=r"mode exponent Re=760 "):
+            eval_psi_closed_stack(sset, CANON_MEDIUM, [far])
+        with pytest.raises(DegeneratePointError) as got:
+            eval_psi_closed_stack(sset, CANON_MEDIUM, [near, far])
+        with pytest.raises(DegeneratePointError) as want:
+            eval_psi_closed(sset, CANON_MEDIUM, near)
+        assert str(got.value) == str(want.value)
 
 
 class TestSeries:
@@ -211,8 +239,7 @@ class TestSeries:
         # (D conj(D))^n with alternating signs, bit for bit
         sset = random_admissible_set(3, 12)
         pt = SpaceTimePoint(-1.5, 0.2)
-        D = build_D(sset, CANON_MEDIUM, pt)
-        term = build_Bx(sset, CANON_MEDIUM, pt)
+        term, D = dense_matrices(sset, CANON_MEDIUM, pt)
         want = []
         for n in range(8):
             want.append((-1) ** n * np.trace(term))
@@ -233,7 +260,7 @@ class TestSpectralRadius:
         sset = SolitonSet.from_pairs([(0.6 + 0.2j, 1.0), (1.1 - 0.3j, 0.8)])
         pt = SpaceTimePoint(-3.0, 0.5)
         q = spectral_radius_q(sset, CANON_MEDIUM, pt)
-        D = build_D(sset, CANON_MEDIUM, pt)
+        D = dense_matrices(sset, CANON_MEDIUM, pt)[1]
         X = (CANON_MEDIUM.lam / 8) * D @ D.conj()
         want = max(abs(np.linalg.eigvals(X)))
         assert q == pytest.approx(want, rel=1e-6)
@@ -246,7 +273,7 @@ class TestSpectralRadius:
             sset = random_admissible_set(2 + draw % 4, 500 + draw)
             pt = SpaceTimePoint(float(rng.uniform(-4.0, 4.0)),
                                 float(rng.uniform(-1.0, 1.0)))
-            D = build_D(sset, CANON_MEDIUM, pt)
+            D = dense_matrices(sset, CANON_MEDIUM, pt)[1]
             L = np.linalg.cholesky(D)
             H = (CANON_MEDIUM.lam / 8) * L.conj().T @ D.conj() @ L
             want = np.linalg.eigvalsh(H).max()

@@ -80,13 +80,19 @@ def _minor_terms(sset: SolitonSet, excess: int) -> tuple:
     """Every pair (S, T) with |S| = |T| + ``excess`` of f (0) or g (1):
     membership rows a, b and c^|T| det(minor)^2, each minor of the Cauchy
     matrix 1 / (p_i + conj(p_j)) (bordered by a column of ones for g) a
-    determinant taken by mpmath at 40 digits.  (np.linalg.det loses about
-    eps / gap^2 of a minor whose rows and columns each hold two p a gap
-    apart: 1e-8 of psi at a gap of 8e-3.)"""
+    determinant taken by mpmath at 40 digits past the cancellation of close
+    p.  (np.linalg.det loses about eps / gap^2 of a minor whose rows and
+    columns each hold two p a gap apart: 1e-8 of psi at a gap of 8e-3.)
+    A minor that holds a repeated p twice is exactly 0."""
     p = [mpmath.mpc(v) for v in sset.p]
     n = len(p)
+    # each pair of p a gap apart in S or in T scales a minor by the gap:
+    # up to n (n - 1) factors of the closest gap cancel
+    gap = min([abs(u - v) for u, v in combinations(sset.p, 2) if u != v],
+              default=1.0)
+    dps = 40 + n * (n - 1) * max(0, -math.floor(math.log10(gap)))
     a, b, coef = [], [], []
-    with mpmath.workdps(40):
+    with mpmath.workdps(dps):
         for k in range(n + 1 - excess):
             for S in combinations(range(n), k + excess):
                 for T in combinations(range(n), k):
@@ -94,7 +100,11 @@ def _minor_terms(sset: SolitonSet, excess: int) -> tuple:
                     b.append(np.isin(np.arange(n), T))
                     rows = [[1 / (p[i] + mpmath.conj(p[j])) for j in T]
                             + [1] * excess for i in S]
-                    det = mpmath.det(mpmath.matrix(rows)) if S else 1
+                    # mpmath's LU raises TypeError on an exact zero pivot
+                    repeated = (len({p[i] for i in S}) < len(S)
+                                or len({p[j] for j in T}) < len(T))
+                    det = (0 if repeated else
+                           mpmath.det(mpmath.matrix(rows)) if S else 1)
                     coef.append(complex((MEDIUM.lam / 8) ** k * det ** 2))
     return (np.array(a, dtype=bool).reshape(len(a), n),
             np.array(b, dtype=bool).reshape(len(b), n),

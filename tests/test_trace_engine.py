@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from hirota_trace import (
-    build_D,
     CompiledSolution,
     DegeneratePointError,
     EquationKind,
@@ -26,6 +25,7 @@ from hirota_trace import (
     eval_psi_closed,
     one_soliton_closed,
     one_soliton_envelope_shift,
+    phi,
     random_admissible_set,
     residual_report,
 )
@@ -152,7 +152,8 @@ class TestAgainstDenseSolve:
             except DegeneratePointError:
                 continue  # dense solve is ill-conditioned there; engine isn't
             # the dense solve loses ~cond(M)*eps digits of its own
-            D = build_D(sset, MEDIUM, pt)
+            ph = np.array([phi(s, MEDIUM, pt) for s in sset.solitons])
+            D = np.outer(ph, ph.conj()) / (sset.p[:, None] + sset.p.conj())
             M = np.eye(n) + (MEDIUM.lam / 8) * D @ D.conj()
             rel = max(1e-11, 1e-14 * np.linalg.cond(M))
             via_engine = complex(engine.psi(np.asarray(x), np.asarray(t)))
