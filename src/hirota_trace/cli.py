@@ -391,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else None
-        if getattr(args, "dump_config", False):
+        if args.dump_config:
             if cfg is None:
                 raise ConfigError("--dump-config requires --config")
             print(dump_config(cfg))

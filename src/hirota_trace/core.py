@@ -10,7 +10,7 @@ form  psi = tr[B_x (I + (lambda/8) D conj(D))^{-1}].  One builder,
 _point_matrices, forms the modes, B_x and D at a stack of points for the
 closed form, the series chain and the spectral radius alike; it raises
 FieldOverflowError where a mode exponent leaves double range and where the
-entries of (lambda/8) D conj(D) would.
+entries of B_x, D or (lambda/8) D conj(D) would.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import (
     SingularDenominatorError,
 )
 
-#: pair-sum magnitude below which B/D denominators are treated as singular
+#: least admissible pair-sum modulus |p_m + conj(p_n)|, the D denominators
 DENOM_TOL = 1e-9
 #: condition-number estimate above which the dense solve is rejected
 COND_LIMIT = 1e12
@@ -76,8 +76,8 @@ class Medium:
 class Soliton:
     """One envelope soliton: wavenumber p and initial amplitude a0.
 
-    Re(p) > 0 is required; it guarantees decay of phi as x -> -inf and
-    keeps every pair-sum denominator p_m + conj(p_n) away from zero.
+    Re(p) > 0 is required; it guarantees decay of phi as x -> -inf.  In a
+    SolitonSet, 2 Re p >= DENOM_TOL keeps the pair sums away from zero.
     """
 
     p: complex
@@ -99,15 +99,11 @@ class SolitonSet:
     solitons: tuple[Soliton, ...]
 
     def __post_init__(self) -> None:
-        p = self.p
-        for m in range(len(p)):
-            for n in range(len(p)):
-                if abs(p[m] + p[n]) < DENOM_TOL:
-                    raise SingularDenominatorError(
-                        f"|p_{m} + p_{n}| < {DENOM_TOL}")
-                if abs(p[m] + p[n].conjugate()) < DENOM_TOL:
-                    raise SingularDenominatorError(
-                        f"|p_{m} + conj(p_{n})| < {DENOM_TOL}")
+        # |p_m + conj(p_n)| >= Re p_m + Re p_n, with equality where m = n
+        for k, s in enumerate(self.solitons):
+            if 2 * s.p.real < DENOM_TOL:
+                raise SingularDenominatorError(
+                    f"2 Re p_{k} = {2 * s.p.real:.3g} < {DENOM_TOL}")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[complex, complex]]) -> "SolitonSet":
@@ -223,26 +219,30 @@ def _point_matrices(sset: SolitonSet, medium: Medium,
     the one place the modes phi_k are formed at points.
 
     B_x,mn = phi_m phi_n is the x-derivative of B_mn = phi_m phi_n /
-    (p_m + p_n), and D_mn = phi_m conj(phi_n) / (p_m + conj(p_n)).  Two range
-    checks raise FieldOverflowError at the first point that fails: phi's on
-    each mode exponent, and, since every reader forms (lam/8) D conj(D),
-    whose entries grow like the fourth power of the modes, EXP_LIMIT on the
-    log of their bound (lam/8) N max|phi|^4 / min|p_m + conj(p_n)|^2.
+    (p_m + p_n), and D_mn = phi_m conj(phi_n) / (p_m + conj(p_n)).  At the
+    first point where phi's mode exponent check or EXP_LIMIT on the log of
+    an entry bound fails, raises FieldOverflowError.  With dmin = 2 min Re p,
+    the bounds are (lam/8) N max|phi|^4 / dmin^2 on (lam/8) D conj(D), which
+    every reader forms, max|phi|^2 on B_x and max|phi|^2 / dmin on D.
     """
     p = sset.p
     denom = p[:, None] + p.conj()
-    dmin = float(np.abs(denom).min())
+    log_dmin = math.log(2 * p.real.min())
+    log_n, log_c = math.log(len(sset)), _log_coupling(medium.lam)
     rows = []
     for pt in pts:
         # phi's scalar products: NumPy's array product over the points would
         # round by the length of the stack
         modes = [phi(s, medium, pt) for s in sset.solitons]
         top = max(map(abs, modes))
-        if top and (4 * math.log(top) - 2 * math.log(dmin)
-                    + math.log(len(sset)) + _log_coupling(medium.lam)
-                    ) > EXP_LIMIT:
-            raise FieldOverflowError(
-                f"D conj(D) entries outside double range at {pt}")
+        if top:
+            log_bx = 2 * math.log(top)
+            log_d = log_bx - log_dmin
+            for name, log_bound in (("D conj(D)", 2 * log_d + log_n + log_c),
+                                    ("B_x", log_bx), ("D", log_d)):
+                if log_bound > EXP_LIMIT:
+                    raise FieldOverflowError(
+                        f"{name} entries outside double range at {pt}")
         rows.append(modes)
     ph = np.array(rows)
     return (ph[:, :, None] * ph[:, None, :],

@@ -6,7 +6,7 @@ class SolitonFieldError(Exception):
 
 
 class SingularDenominatorError(SolitonFieldError):
-    """A wavenumber pair sum |p_m + p_n| or |p_m + conj(p_n)| fell below tolerance."""
+    """2 Re p, the least pair sum |p_m + conj(p_n)|, fell below tolerance."""
 
 
 class DegeneratePointError(SolitonFieldError):

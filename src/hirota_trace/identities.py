@@ -16,6 +16,7 @@ rhs, so every verdict is exact and no float is involved.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import Medium, SolitonSet, SpaceTimePoint, _series_jets, phi
+from .errors import FieldOverflowError
 from .trace_engine import _ALL_ORDERS
 
 
@@ -78,7 +80,7 @@ class GaussianRational:
 
 def _require_odd(ks) -> int:
     """Return n for a length-(2n+1) tuple, rejecting even lengths."""
-    if len(ks) % 2 == 0 or len(ks) == 0:
+    if len(ks) % 2 == 0:
         raise ValueError(f"need an odd number of symbols, got {len(ks)}")
     return (len(ks) - 1) // 2
 
@@ -224,11 +226,10 @@ def psi3_crosscheck(sset: SolitonSet, medium: Medium,
 
     Returns (direct, trace): the triple sum over mode indices (_psi_term
     at n = 1), and -(lam/8) tr[B_x D conj(D)], the order-1 term of the
-    series' matrix chain.
+    series' matrix chain; the chain's range errors are raised first.
     """
-    direct = _psi_term(sset, medium, pt, 1)
     trace = complex(_series_jets(sset, medium, pt, 1, [(0, 0)])[1, 0])
-    return direct, trace
+    return _psi_term(sset, medium, pt, 1), trace
 
 
 def _psi_term(sset: SolitonSet, medium: Medium, pt: SpaceTimePoint,
@@ -236,18 +237,21 @@ def _psi_term(sset: SolitonSet, medium: Medium, pt: SpaceTimePoint,
     """Multi-sum form of the order-(2n+1) term psi_n: each index at an even
     slot enters as phi_i^2 with momentum p_i, at an odd slot as
     -(lam/8) conj(phi_i)^2 with conj(p_i), and each summand is divided by
-    the 2n sums of adjacent slot momenta."""
-    p = sset.p
+    the 2n sums of adjacent slot momenta.  Raises FieldOverflowError where
+    a summand overflows, leaving the sum infinite or NaN."""
     ph = [phi(s, medium, pt) for s in sset.solitons]
     c = medium.lam / 8
+    even = [(z * z, q) for z, q in zip(ph, sset.p)]
+    odd = [(-c * w.conjugate(), q.conjugate()) for w, q in even]
     total = 0j
-    for idx in itertools.product(range(len(sset)), repeat=2 * n + 1):
-        slots = [(ph[i] ** 2, p[i]) if j % 2 == 0
-                 else (-c * ph[i].conjugate() ** 2, p[i].conjugate())
-                 for j, i in enumerate(idx)]
-        total += (math.prod(w for w, _ in slots)
-                  / math.prod(q + r for (_, q), (_, r)
-                              in zip(slots, slots[1:])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx in itertools.product(range(len(sset)), repeat=2 * n + 1):
+            slots = [odd[i] if j % 2 else even[i] for j, i in enumerate(idx)]
+            total += (math.prod(w for w, _ in slots)
+                      / math.prod(q + r for (_, q), (_, r)
+                                  in zip(slots, slots[1:])))
+    if not cmath.isfinite(total):
+        raise FieldOverflowError(f"order-{n} multi-sum not finite at {pt}")
     return total
 
 

@@ -276,21 +276,17 @@ def random_admissible_set(n: int, seed: int | np.random.Generator) -> SolitonSet
     return SolitonSet.from_pairs(zip(p, a0))
 
 
-def _refine_peak(xs: np.ndarray, vals: np.ndarray, i: int) -> tuple[float, float]:
-    """Three-point parabolic refinement around local maximum index i."""
-    if i == 0 or i == len(xs) - 1:
-        return float(xs[i]), float(vals[i])
+def _refine_peak(xs: np.ndarray, vals: np.ndarray, i: int) -> float:
+    """Three-point parabolic refinement of the position of the interior
+    local maximum at index i."""
     y0, y1, y2 = vals[i - 1], vals[i], vals[i + 1]
     denom = y0 - 2 * y1 + y2
     if denom == 0:
-        return float(xs[i]), float(y1)
-    shift = 0.5 * (y0 - y2) / denom
-    h = xs[1] - xs[0]
-    peak = y1 - 0.25 * (y0 - y2) * shift
-    return float(xs[i] + shift * h), float(peak)
+        return float(xs[i])
+    return float(xs[i] + 0.5 * (y0 - y2) / denom * (xs[1] - xs[0]))
 
 
-def _two_largest_maxima(xs: np.ndarray, vals: np.ndarray):
+def _two_largest_maxima(xs: np.ndarray, vals: np.ndarray) -> list[float]:
     interior = (vals[1:-1] > vals[:-2]) & (vals[1:-1] >= vals[2:])
     idx = np.flatnonzero(interior) + 1
     if len(idx) < 2:
@@ -347,8 +343,7 @@ def collision_metrics(sset: SolitonSet, medium: Medium, t_far: float,
     matched: dict[float, list[float]] = {}
     for t_signed in (-t_far, t_far):
         vals = np.abs(engine.psi(xs, t_signed))
-        peaks = [polish(x0, t_signed)
-                 for x0, _ in _two_largest_maxima(xs, vals)]
+        peaks = [polish(x0, t_signed) for x0 in _two_largest_maxima(xs, vals)]
         if abs(peaks[0][0] - peaks[1][0]) <= 5 * max(widths):
             raise UnseparatedEnvelopesError(
                 f"envelope separation at t={t_signed} below five widths")

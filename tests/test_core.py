@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hirota_trace import (
+    DENOM_TOL,
     DegeneratePointError,
     DispersionPoly,
     FieldOverflowError,
@@ -83,6 +84,61 @@ class TestSoliton:
             SolitonSet((tiny,))
 
 
+def pair_loop_admits(p):
+    """The former admission rule, kept as the reference: every pair sum
+    p_m + p_n and p_m + conj(p_n) has modulus at least DENOM_TOL."""
+    for m in range(len(p)):
+        for n in range(len(p)):
+            if abs(p[m] + p[n]) < DENOM_TOL:
+                return False
+            if abs(p[m] + p[n].conjugate()) < DENOM_TOL:
+                return False
+    return True
+
+
+def admission_sweep():
+    """Seeded wavenumber sets, N = 0..5, Re p log-uniform over [1e-11, 10];
+    every second set with N >= 2 has Im p_1 within 1e-10 of -Im p_0, so
+    p_0 + p_1 nearly cancels, and every fifth has Re p_0 within 3 ulps of
+    DENOM_TOL / 2."""
+    rng = np.random.default_rng(30)
+    half = DENOM_TOL / 2
+    for trial in range(3000):
+        n = trial % 6
+        re = 10.0 ** rng.uniform(-11, 1, n)
+        im = rng.uniform(-10, 10, n)
+        if n >= 2 and trial % 2:
+            im[1] = -im[0] + rng.uniform(-1e-10, 1e-10)
+            re[1] = 10.0 ** rng.uniform(-11, -8)
+        if n >= 1 and trial % 5 == 0:
+            re[0] = half + int(rng.integers(-3, 4)) * np.spacing(half)
+        yield re + 1j * im
+
+
+class TestSolitonSet:
+    def test_admits_exactly_what_the_pair_loop_admits(self):
+        admitted = 0
+        sets = list(admission_sweep())
+        for p in sets:
+            try:
+                SolitonSet.from_pairs((q, 1) for q in p)
+                ok = True
+            except SingularDenominatorError:
+                ok = False
+            assert ok == pair_loop_admits(p), p
+            admitted += ok
+            if len(p):
+                # the least pair-sum modulus is 2 min Re p, bit for bit:
+                # the bound the dense builder reads
+                assert np.abs(p[:, None] + p.conj()).min() \
+                    == 2 * p.real.min()
+        assert 0 < admitted < len(sets)
+
+    def test_rejection_names_the_soliton(self):
+        with pytest.raises(SingularDenominatorError, match="p_1"):
+            SolitonSet.from_pairs([(1, 1), (4e-10 + 3j, 1)])
+
+
 class TestDispersion:
     def test_canonical_value(self):
         # Omega = -2i*rho*p^2 + 4*sigma*p^3 at p=1, rho=sigma=1
@@ -119,6 +175,23 @@ class TestModes:
         sset = random_admissible_set(3, 4)
         with pytest.raises(FieldOverflowError):
             evaluate(sset, Medium(1, 1, 8), SpaceTimePoint(300.0, 0.0))
+
+    @pytest.mark.parametrize("evaluate", [
+        eval_psi_closed, spectral_radius_q,
+        lambda s, m, pt: series_partial_sums(s, m, pt, 3)],
+        ids=["closed", "spectral_radius", "series"])
+    @pytest.mark.parametrize("p,x,matrix", [(1.0, 360.0, "B_x"),
+                                            (1e-9, 3.495e11, "D")])
+    def test_tiny_coupling_mode_products_overflow_guard(self, evaluate, p, x,
+                                                        matrix):
+        # at lam = 1e-320 the bound on (lam/8) D conj(D) passes, but the
+        # entries of B_x = phi_m phi_n (|phi|^2 = e^720 at p = 1), or of
+        # D = phi_m conj(phi_n) / (p_m + conj(p_n)) (|phi|^2 = e^699 over
+        # 2 Re p = 2e-9 at p = 1e-9), leave double range
+        sset = SolitonSet.from_pairs([(p, 1)])
+        with pytest.raises(FieldOverflowError,
+                           match=f"^{matrix} entries outside double range"):
+            evaluate(sset, Medium(1, 1, 1e-320), SpaceTimePoint(x, 0.0))
 
     def test_far_field_dense_solve_raises_only_typed_errors(self):
         sset = random_admissible_set(3, 4)

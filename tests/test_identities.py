@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from hirota_trace import (
+    FieldOverflowError,
     GaussianRational,
     Medium,
     Soliton,
@@ -234,6 +235,21 @@ class TestCrossRepresentation:
         direct, trace = psi3_crosscheck(sset, MEDIUM,
                                         SpaceTimePoint(-0.4, 0.3))
         assert abs(direct - trace) <= 1e-12 * max(1.0, abs(trace))
+
+    @pytest.mark.parametrize("p,x", [(1, 360.0), (1 + 0.3j, 125.0),
+                                     (1 + 0.3j, 150.0), (1 + 0.3j, 175.0),
+                                     (200 + 0.3j, 0.6)])
+    def test_multisum_out_of_range_raises_typed_error(self, p, x):
+        # a square that overflows (x = 360), an overflowing product whose
+        # quotient is NaN (x = 125..175), and a summand that overflows
+        # where the chain's order-1 term is finite (p = 200 + 0.3i); the
+        # suite turns any RuntimeWarning into an error
+        sset = SolitonSet.from_pairs([(p, 1)])
+        pt = SpaceTimePoint(x, 0.0)
+        with pytest.raises(FieldOverflowError, match="multi-sum"):
+            _psi_term(sset, MEDIUM, pt, 1)
+        with pytest.raises(FieldOverflowError):
+            psi3_crosscheck(sset, MEDIUM, pt)
 
     def test_multisum_permutation_symmetry(self):
         sset = random_admissible_set(2, 44)
